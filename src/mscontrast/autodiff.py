@@ -166,9 +166,12 @@ def _accum(t: Tensor, g: np.ndarray):
 def backward(loss: Tensor):
     """Accumulate gradients of a scalar loss into every tracked ancestor.
 
-    The loss's tape is replayed once in reverse and then marked consumed.  A
-    constant loss (no gradient-requiring ancestors) is a no-op.  Non-finite
-    gradients raise, naming the primitive that produced them.
+    The loss's tape is marked consumed and replayed once in reverse, each
+    node popped off it as the sweep passes.  Emptying the tape breaks the
+    tensor -> tape -> node -> tensor cycle, so the graph is freed by reference
+    counting once the caller drops the loss.  A constant loss (no
+    gradient-requiring ancestors) is a no-op.  Non-finite gradients raise,
+    naming the primitive that produced them.
     """
     global _CURRENT_TAPE
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
@@ -183,7 +186,9 @@ def backward(loss: Tensor):
     if _CURRENT_TAPE is tape:
         _CURRENT_TAPE = None
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         g = node.out.grad
         if g is None:
             continue
@@ -572,19 +577,27 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def contrastive_pair_loss(a: Tensor, b: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray,
-                          tau: float, block: int = 1024) -> Tensor:
-    """Supervised InfoNCE over explicit positive/negative pair masks.
+def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes: np.ndarray,
+                          tau: float, same_rows: bool = False, block: int = 1024) -> Tensor:
+    """Supervised InfoNCE of the rows of ``a`` against the rows of ``b``.
 
-    For each row i of ``a`` with at least one positive, the per-pair term for
-    a positive j is softplus(logsumexp_n(s_in) - s_ij) with s = (a @ b.T)/tau,
+    This is the pair rule of every contrastive loss in the package: row j of
+    ``b`` is a positive of row i of ``a`` when their class ids are equal and a
+    negative when they differ.  ``same_rows`` says that ``a`` and ``b`` hold
+    the same anchors in the same order, so that the diagonal pairs an anchor
+    with itself; an anchor is never its own positive, and the diagonal is then
+    neither positive nor negative.
+
+    For each row i with at least one positive, the per-pair term for a
+    positive j is softplus(logsumexp_n(s_in) - s_ij) with s = (a @ b.T)/tau,
     i.e. the -log of the softmax of the positive against that row's negatives.
     Terms are averaged over positives per row, then over contributing rows.
     Rows without negatives contribute 0.  Gradients flow into both ``a`` and
     ``b`` (which may be the same tensor).
 
-    Computed in row blocks so the (n, m) similarity matrix never has to be
-    materialized whole; the backward pass recomputes each block.
+    Computed in row blocks so neither the (n, m) similarity matrix nor the
+    pair masks are ever materialized whole; the backward pass recomputes each
+    block.
     """
     if tau <= 0:
         raise ValueError(f"contrastive_pair_loss: temperature must be positive, got {tau}")
@@ -592,28 +605,29 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, pos_mask: np.ndarray, neg_mask: 
     m, d2 = b.data.shape
     if d != d2:
         raise ValueError(f"contrastive_pair_loss: embedding widths differ ({d} vs {d2})")
-    pos_mask = np.asarray(pos_mask, dtype=bool)
-    neg_mask = np.asarray(neg_mask, dtype=bool)
-    if pos_mask.shape != (n, m) or neg_mask.shape != (n, m):
-        raise ValueError(f"contrastive_pair_loss: masks must have shape ({n}, {m})")
-    if np.any(pos_mask & neg_mask):
-        raise ValueError("contrastive_pair_loss: a pair cannot be both positive and negative")
+    a_classes, b_classes = np.asarray(a_classes), np.asarray(b_classes)
+    if a_classes.shape != (n,) or b_classes.shape != (m,) or (same_rows and n != m):
+        raise ValueError(f"contrastive_pair_loss: class ids {a_classes.shape}, {b_classes.shape} do not "
+                         f"label {n} and {m} rows{' of one set' if same_rows else ''}")
 
-    pcount = pos_mask.sum(axis=1)
-    contributing = pcount > 0
-    n_contrib = int(contributing.sum())
-    if n_contrib == 0:
-        raise ValueError("no positive pairs")
+    def masks(lo, hi):
+        pos = a_classes[lo:hi, None] == b_classes[None, :]
+        neg = ~pos
+        if same_rows:
+            pos[np.arange(hi - lo), np.arange(lo, hi)] = False
+        return pos, neg
 
     inv_tau = 1.0 / float(tau)
     ld = np.full(n, -np.inf)
+    pcount = np.zeros(n, dtype=np.int64)
     total = 0.0
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        pos, neg = masks(lo, hi)
         s = (a.data[lo:hi] @ b.data.T) * inv_tau
         if not np.all(np.isfinite(s)):
             raise FloatingPointError("contrastive_pair_loss: non-finite similarity")
-        sn = np.where(neg_mask[lo:hi], s, -np.inf)
+        sn = np.where(neg, s, -np.inf)
         mx = np.max(sn, axis=1)
         fin = np.isfinite(mx)
         with np.errstate(divide="ignore"):
@@ -622,9 +636,14 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, pos_mask: np.ndarray, neg_mask: 
                 -np.inf,
             )
         ld[lo:hi] = ld_blk
-        terms = np.where(pos_mask[lo:hi], np.logaddexp(0.0, ld_blk[:, None] - s), 0.0)
-        rows = contributing[lo:hi]
+        pcount[lo:hi] = pos.sum(axis=1)
+        terms = np.where(pos, np.logaddexp(0.0, ld_blk[:, None] - s), 0.0)
+        rows = pcount[lo:hi] > 0
         total += float((terms.sum(axis=1)[rows] / pcount[lo:hi][rows]).sum())
+    contributing = pcount > 0
+    n_contrib = int(contributing.sum())
+    if n_contrib == 0:
+        raise ValueError("no positive pairs")
     value = total / n_contrib
 
     def bwd(g):
@@ -634,14 +653,15 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, pos_mask: np.ndarray, neg_mask: 
         coef = np.where(contributing, g / (np.maximum(pcount, 1) * n_contrib), 0.0)
         for lo in range(0, n, block):
             hi = min(lo + block, n)
+            pos, neg = masks(lo, hi)
             s = (a.data[lo:hi] @ b.data.T) * inv_tau
             sig = _sigmoid(ld[lo:hi][:, None] - s)
-            gpos = np.where(pos_mask[lo:hi], sig * coef[lo:hi][:, None], 0.0)
+            gpos = np.where(pos, sig * coef[lo:hi][:, None], 0.0)
             ci = gpos.sum(axis=1)
             fin = np.isfinite(ld[lo:hi])
             with np.errstate(invalid="ignore"):
                 wneg = np.where(
-                    neg_mask[lo:hi] & fin[:, None],
+                    neg & fin[:, None],
                     np.exp(s - np.where(fin, ld[lo:hi], 0.0)[:, None]),
                     0.0,
                 )

@@ -1,28 +1,12 @@
-"""Command line entry points.
-
-Heavy imports happen inside main() so the thread-count env var can pin the
-BLAS pool before numpy is loaded.
-"""
+"""Command line entry points."""
 
 import argparse
 import json
 import logging
-import os
 import sys
 
-THREADS_ENV = "MSCONTRAST_THREADS"
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
-              "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_env():
-    n = os.environ.get(THREADS_ENV)
-    if n is None:
-        return
-    if not n.isdigit() or int(n) < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {n!r}")
-    for var in _BLAS_VARS:
-        os.environ.setdefault(var, n)
+from . import training
+from .config import load_config
 
 
 def _parse_shapes(text: str):
@@ -72,7 +56,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        _apply_thread_env()
         return _dispatch(args)
     except (ValueError, RuntimeError, OSError) as e:
         json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
@@ -81,9 +64,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    from .config import load_config
-    from . import training
-
     if args.command == "train":
         cfg = load_config(args.config)
         _, records, ckpt = training.train(cfg, resume_from=args.resume)

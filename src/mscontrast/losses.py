@@ -1,13 +1,12 @@
 """The contrastive loss family over anchor sets.
 
-Within a set, positives of an anchor are the other anchors of its class and
-negatives the anchors of any other class; the per-anchor loss is the InfoNCE
-form -log[exp(s_ij/tau) / (exp(s_ij/tau) + sum_n exp(s_in/tau))] averaged
-over positives, then over anchors that have at least one positive.  The
-multi-scale loss is a weighted sum of per-scale terms; the cross-scale loss
-pairs anchors of one scale with positives/negatives drawn from another scale
-and is symmetrized as the mean of both directions.  The total objective adds
-both terms to the cross-entropy with scalar weights.
+Every term is :func:`mscontrast.autodiff.contrastive_pair_loss`, whose
+docstring states the pair rule and the per-anchor InfoNCE form.  Within a
+scale a set is contrasted with itself.  The multi-scale loss is a weighted
+sum of per-scale terms; the cross-scale loss contrasts the anchors of one
+scale with those of another and is symmetrized as the mean of both
+directions.  The total objective adds both terms to the cross-entropy with
+scalar weights.
 """
 
 import logging
@@ -59,23 +58,12 @@ class LossConfig:
         self.cross_pairs = tuple(pairs)
 
 
-def _pair_masks(a: AnchorSet, b: AnchorSet):
-    pos = a.class_ids[:, None] == b.class_ids[None, :]
-    neg = ~pos
-    if a.scale == b.scale:
-        # an anchor must never be its own positive; identical provenance at
-        # the same scale means the same pixel
-        same = np.all(a.provenance[:, None, :] == b.provenance[None, :, :], axis=2)
-        pos = pos & ~same
-    return pos, neg
-
-
 def info_nce(anchors: AnchorSet, tau: float = 0.1) -> ad.Tensor:
     """Supervised InfoNCE over one anchor set; positives by shared class id."""
     if len(anchors) < 2:
         raise ValueError(f"need at least 2 anchors, got {len(anchors)}")
-    pos, neg = _pair_masks(anchors, anchors)
-    return ad.contrastive_pair_loss(anchors.embeddings, anchors.embeddings, pos, neg, tau)
+    return ad.contrastive_pair_loss(anchors.embeddings, anchors.embeddings, anchors.class_ids,
+                                    anchors.class_ids, tau, same_rows=True)
 
 
 def info_nce_cross(anchors_a: AnchorSet, anchors_b: AnchorSet, tau: float = 0.1) -> ad.Tensor:
@@ -86,11 +74,18 @@ def info_nce_cross(anchors_a: AnchorSet, anchors_b: AnchorSet, tau: float = 0.1)
     """
     if len(anchors_a) == 0 or len(anchors_b) == 0:
         raise ValueError("both anchor sets must be nonempty")
-    pos, neg = _pair_masks(anchors_a, anchors_b)
-    if not pos.any():
-        raise ValueError("no cross-scale positives")
-    fwd = ad.contrastive_pair_loss(anchors_a.embeddings, anchors_b.embeddings, pos, neg, tau)
-    rev = ad.contrastive_pair_loss(anchors_b.embeddings, anchors_a.embeddings, pos.T, neg.T, tau)
+    same = anchors_a.scale == anchors_b.scale
+    if same and not np.array_equal(anchors_a.provenance, anchors_b.provenance):
+        # every same-stride pair is one set compared with itself
+        raise ValueError(f"two anchor sets at stride {anchors_a.scale} hold different positions")
+    ids_a, ids_b = anchors_a.class_ids, anchors_b.class_ids
+    try:
+        fwd = ad.contrastive_pair_loss(anchors_a.embeddings, anchors_b.embeddings, ids_a, ids_b, tau, same_rows=same)
+    except ValueError as e:
+        if "no positive pairs" not in str(e):
+            raise
+        raise ValueError("no cross-scale positives") from None
+    rev = ad.contrastive_pair_loss(anchors_b.embeddings, anchors_a.embeddings, ids_b, ids_a, tau, same_rows=same)
     return ad.scale(ad.add(fwd, rev), 0.5)
 
 

@@ -1,7 +1,9 @@
 """Unit tests for the tensor/tape engine: forward values, analytic vs numeric
 gradients for every primitive, and the tape lifecycle rules."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +50,20 @@ def test_tape_consumed_once():
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="consumed"):
         ad.backward(loss)
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    x = ad.Tensor([1.0, 2.0], requires_grad=True)
+    gc.disable()
+    try:
+        loss = ad.tsum(ad.mul(ad.relu(x), x))
+        tape = weakref.ref(loss.tape)
+        ad.backward(loss)
+        del loss
+        assert tape() is None
+    finally:
+        gc.enable()
+    assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_shared_leaf_two_branches():
@@ -278,12 +294,10 @@ def test_contrastive_pair_loss_gradcheck():
     rng = np.random.default_rng(47)
     raw = ad.Tensor(rng.normal(size=(8, 6)), requires_grad=True)
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(8, dtype=bool)
-    neg = labels[:, None] != labels[None, :]
 
     def f():
         z = ad.l2_normalize_rows(raw)
-        return ad.contrastive_pair_loss(z, z, pos, neg, tau=0.1)
+        return ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True)
 
     ad.check_gradients(f, [raw])
 
@@ -294,27 +308,24 @@ def test_contrastive_pair_loss_two_sets_gradcheck():
     b = ad.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     la = np.array([0, 1, 2, 0, 1])
     lb = np.array([0, 0, 1, 2, 2, 1, 0])
-    pos = la[:, None] == lb[None, :]
-    neg = ~pos
 
     def f():
-        return ad.contrastive_pair_loss(ad.l2_normalize_rows(a), ad.l2_normalize_rows(b), pos, neg, tau=0.2)
+        return ad.contrastive_pair_loss(ad.l2_normalize_rows(a), ad.l2_normalize_rows(b), la, lb, tau=0.2)
 
     ad.check_gradients(f, [a, b])
 
 
 def test_contrastive_pair_loss_edge_cases():
     z = ad.Tensor(np.eye(3))
-    no_pos = np.zeros((3, 3), dtype=bool)
+    singletons = np.arange(3)  # with the diagonal excluded, no positives
     with pytest.raises(ValueError, match="no positive pairs"):
-        ad.contrastive_pair_loss(z, z, no_pos, ~np.eye(3, dtype=bool), tau=0.1)
-
-    overlap = np.ones((3, 3), dtype=bool)
-    with pytest.raises(ValueError, match="both positive and negative"):
-        ad.contrastive_pair_loss(z, z, overlap, overlap, tau=0.1)
+        ad.contrastive_pair_loss(z, z, singletons, singletons, tau=0.1, same_rows=True)
 
     with pytest.raises(ValueError, match="temperature"):
-        ad.contrastive_pair_loss(z, z, ~np.eye(3, dtype=bool), no_pos, tau=0.0)
+        ad.contrastive_pair_loss(z, z, np.zeros(3, dtype=np.int64), singletons, tau=0.0)
+
+    with pytest.raises(ValueError, match="class ids"):
+        ad.contrastive_pair_loss(z, z, singletons[:2], singletons, tau=0.1)
 
 
 def test_contrastive_row_without_negatives_contributes_zero():
@@ -323,9 +334,7 @@ def test_contrastive_row_without_negatives_contributes_zero():
     rng = np.random.default_rng(59)
     z = ad.l2_normalize_rows(ad.Tensor(rng.normal(size=(4, 3))))
     labels = np.zeros(4, dtype=np.int64)
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(4, dtype=bool)
-    neg = labels[:, None] != labels[None, :]
-    loss = ad.contrastive_pair_loss(z, z, pos, neg, tau=0.1)
+    loss = ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True)
     assert float(loss.data) == 0.0
 
 
@@ -334,14 +343,12 @@ def test_contrastive_blocking_invariant():
     rng = np.random.default_rng(61)
     raw = rng.normal(size=(10, 4))
     labels = rng.integers(0, 3, size=10)
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(10, dtype=bool)
-    neg = labels[:, None] != labels[None, :]
 
     grads, vals = [], []
     for block in (3, 1024):
         t = ad.Tensor(raw, requires_grad=True)
         z = ad.l2_normalize_rows(t)
-        loss = ad.contrastive_pair_loss(z, z, pos, neg, tau=0.1, block=block)
+        loss = ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True, block=block)
         ad.backward(loss)
         vals.append(float(loss.data))
         grads.append(t.grad.copy())

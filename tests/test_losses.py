@@ -144,6 +144,13 @@ def test_cross_requires_shared_class():
         info_nce_cross(a, b, 0.1)
 
 
+def test_cross_same_stride_needs_one_set():
+    a = set_from_gram(np.eye(2), [0, 0], scale=4)
+    b = set_from_gram(np.eye(2), [0, 0], scale=4, offset=2)
+    with pytest.raises(ValueError, match="stride 4 hold different positions"):
+        info_nce_cross(a, b, 0.1)
+
+
 def test_cross_gradients_reach_both_sets():
     rng = np.random.default_rng(209)
     raw_a, set_a = random_set(rng, 8, 2, scale=4, requires_grad=True)
@@ -253,6 +260,16 @@ def test_cross_scale_skips_pair_without_shared_class(caplog):
     cfg = LossConfig(cross_pairs=((4, 32, 1.0),))
     with caplog.at_level("WARNING", logger="mscontrast.losses"):
         out = cross_scale_loss({4: a, 32: b}, cfg)
+    assert "pair skipped" in caplog.text
+    assert float(out.data) == 0.0
+
+
+def test_cross_scale_skips_same_stride_pair_of_singletons(caplog):
+    # a class drawn once has no positive once the anchor itself is excluded
+    anchors = set_from_gram(np.eye(3), [0, 1, 2], scale=4)
+    cfg = LossConfig(scale_weights={4: 1.0}, cross_pairs=((4, 4),))
+    with caplog.at_level("WARNING", logger="mscontrast.losses"):
+        out = cross_scale_loss({4: anchors}, cfg)
     assert "pair skipped" in caplog.text
     assert float(out.data) == 0.0
 
