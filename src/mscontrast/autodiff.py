@@ -30,9 +30,7 @@ __all__ = [
     "conv1x1",
     "batchnorm2d",
     "bilinear_upsample",
-    "nearest_downsample",
     "l2_normalize_rows",
-    "logsumexp",
     "softmax",
     "softmax_cross_entropy",
     "gather_positions",
@@ -445,52 +443,9 @@ def bilinear_upsample(x: Tensor, size: tuple[int, int]) -> Tensor:
     return _record("bilinear_upsample", [x], out, bwd)
 
 
-def nearest_downsample(x: Tensor, stride: int) -> Tensor:
-    """Nearest-neighbor subsampling of (B, C, H, W) at cell centers.
-
-    Output index i reads input index i*stride + stride//2 (clamped), the same
-    convention the label pyramid uses, so features and labels stay aligned.
-    """
-    if stride < 1:
-        raise ValueError(f"nearest_downsample: stride must be >= 1, got {stride}")
-    if x.data.ndim != 4:
-        raise ValueError(f"nearest_downsample: expected (B, C, H, W), got {x.data.shape}")
-    H, W = x.data.shape[2:]
-    ho = -(-H // stride)
-    wo = -(-W // stride)
-    rows = np.minimum(np.arange(ho) * stride + stride // 2, H - 1)
-    cols = np.minimum(np.arange(wo) * stride + stride // 2, W - 1)
-    out = x.data[:, :, rows, :][:, :, :, cols]
-
-    def bwd(g):
-        dcols = np.zeros((x.data.shape[0], x.data.shape[1], ho, W))
-        _scatter_add_axis(dcols, cols, g, axis=3)
-        dx = np.zeros_like(x.data)
-        _scatter_add_axis(dx, rows, dcols, axis=2)
-        _accum(x, dx)
-
-    return _record("nearest_downsample", [x], out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
-
-
-def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
-    """log(sum(exp(x))) reduced along one axis, max-shifted for stability."""
-    m = np.max(x.data, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(x.data - m).sum(axis=axis)) + m.squeeze(axis)
-
-    def bwd(g):
-        yb = np.expand_dims(out, axis)
-        with np.errstate(invalid="ignore"):
-            p = np.where(np.isfinite(yb), np.exp(x.data - yb), 0.0)
-        _accum(x, p * np.expand_dims(g, axis))
-
-    return _record("logsumexp", [x], out, bwd)
 
 
 def softmax(x: Tensor, axis: int = 1) -> Tensor:
@@ -549,36 +504,28 @@ def gather_positions(x: Tensor, b_idx: np.ndarray, r_idx: np.ndarray, c_idx: np.
     """Gather feature vectors at (batch, row, col) positions of a (B, C, h, w) map into (N, C)."""
     if x.data.ndim != 4:
         raise ValueError(f"gather_positions: expected (B, C, h, w), got {x.data.shape}")
-    B, C, h, w = x.data.shape
+    B, _, h, w = x.data.shape
     b_idx = np.asarray(b_idx, dtype=np.intp)
     r_idx = np.asarray(r_idx, dtype=np.intp)
     c_idx = np.asarray(c_idx, dtype=np.intp)
     if np.any(b_idx < 0) or np.any(b_idx >= B) or np.any(r_idx < 0) or np.any(r_idx >= h) \
             or np.any(c_idx < 0) or np.any(c_idx >= w):
         raise ValueError("gather_positions: index out of bounds")
-    lin = (b_idx * h + r_idx) * w + c_idx
-    flat = x.data.transpose(0, 2, 3, 1).reshape(B * h * w, C)
-    out = flat[lin].copy()
+    index = (b_idx, slice(None), r_idx, c_idx)
 
     def bwd(g):
-        acc = np.zeros((B * h * w, C))
-        np.add.at(acc, lin, g)
-        _accum(x, acc.reshape(B, h, w, C).transpose(0, 3, 1, 2))
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, index, g)  # repeated positions sum their gradients
+        _accum(x, dx)
 
-    return _record("gather_positions", [x], out, bwd)
+    return _record("gather_positions", [x], x.data[index], bwd)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+CONTRASTIVE_BLOCK = 1024  # rows of the similarity matrix held at once
 
 
 def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes: np.ndarray,
-                          tau: float, same_rows: bool = False, block: int = 1024) -> Tensor:
+                          tau: float, same_rows: bool = False) -> Tensor:
     """Supervised InfoNCE of the rows of ``a`` against the rows of ``b``.
 
     This is the pair rule of every contrastive loss in the package: row j of
@@ -595,9 +542,11 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
     Rows without negatives contribute 0.  Gradients flow into both ``a`` and
     ``b`` (which may be the same tensor).
 
-    Computed in row blocks so neither the (n, m) similarity matrix nor the
-    pair masks are ever materialized whole; the backward pass recomputes each
-    block.
+    Computed in blocks of ``CONTRASTIVE_BLOCK`` rows so neither the (n, m)
+    similarity matrix nor the pair masks are ever materialized whole.  When
+    the op is taped, the same pass over a block also yields its gradient,
+    from the softplus terms and the negatives' exponentials it already holds;
+    the backward pass only scales it.
     """
     if tau <= 0:
         raise ValueError(f"contrastive_pair_loss: temperature must be positive, got {tau}")
@@ -610,68 +559,51 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
         raise ValueError(f"contrastive_pair_loss: class ids {a_classes.shape}, {b_classes.shape} do not "
                          f"label {n} and {m} rows{' of one set' if same_rows else ''}")
 
-    def masks(lo, hi):
+    taped = _GRAD_ENABLED[-1] and (_tracked(a) or _tracked(b))
+    if taped:
+        da, db = np.zeros_like(a.data), np.zeros_like(b.data)
+    inv_tau = 1.0 / float(tau)
+    n_contrib = 0
+    total = 0.0
+    for lo in range(0, n, CONTRASTIVE_BLOCK):
+        hi = min(lo + CONTRASTIVE_BLOCK, n)
         pos = a_classes[lo:hi, None] == b_classes[None, :]
         neg = ~pos
         if same_rows:
             pos[np.arange(hi - lo), np.arange(lo, hi)] = False
-        return pos, neg
-
-    inv_tau = 1.0 / float(tau)
-    ld = np.full(n, -np.inf)
-    pcount = np.zeros(n, dtype=np.int64)
-    total = 0.0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        pos, neg = masks(lo, hi)
         s = (a.data[lo:hi] @ b.data.T) * inv_tau
         if not np.all(np.isfinite(s)):
             raise FloatingPointError("contrastive_pair_loss: non-finite similarity")
         sn = np.where(neg, s, -np.inf)
         mx = np.max(sn, axis=1)
         fin = np.isfinite(mx)
+        shift = np.where(fin, mx, 0.0)
+        e = np.exp(sn - shift[:, None])
+        esum = e.sum(axis=1)
         with np.errstate(divide="ignore"):
-            ld_blk = np.where(
-                fin, np.log(np.exp(sn - np.where(fin, mx, 0.0)[:, None]).sum(axis=1)) + np.where(fin, mx, 0.0),
-                -np.inf,
-            )
-        ld[lo:hi] = ld_blk
-        pcount[lo:hi] = pos.sum(axis=1)
-        terms = np.where(pos, np.logaddexp(0.0, ld_blk[:, None] - s), 0.0)
-        rows = pcount[lo:hi] > 0
-        total += float((terms.sum(axis=1)[rows] / pcount[lo:hi][rows]).sum())
-    contributing = pcount > 0
-    n_contrib = int(contributing.sum())
+            ld = np.where(fin, np.log(esum) + shift, -np.inf)
+        x = ld[:, None] - s
+        sp = np.logaddexp(0.0, x)
+        pcount = pos.sum(axis=1)
+        rows = pcount > 0
+        n_contrib += int(rows.sum())
+        total += float((np.where(pos, sp, 0.0).sum(axis=1)[rows] / pcount[rows]).sum())
+        if taped:
+            # d(row mean)/ds: -sigmoid(x) / pcount on positives, and through
+            # ld the negatives' softmax weighted by the positives' sum
+            gpos = np.where(pos, np.exp(x - sp), 0.0) / np.maximum(pcount, 1)[:, None]
+            gs = gpos.sum(axis=1)[:, None] * (e / np.where(fin, esum, 1.0)[:, None]) - gpos
+            da[lo:hi] = gs @ b.data
+            db += gs.T @ a.data[lo:hi]
     if n_contrib == 0:
         raise ValueError("no positive pairs")
-    value = total / n_contrib
 
     def bwd(g):
-        g = float(g)
-        db = np.zeros_like(b.data)
-        da = np.zeros_like(a.data)
-        coef = np.where(contributing, g / (np.maximum(pcount, 1) * n_contrib), 0.0)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            pos, neg = masks(lo, hi)
-            s = (a.data[lo:hi] @ b.data.T) * inv_tau
-            sig = _sigmoid(ld[lo:hi][:, None] - s)
-            gpos = np.where(pos, sig * coef[lo:hi][:, None], 0.0)
-            ci = gpos.sum(axis=1)
-            fin = np.isfinite(ld[lo:hi])
-            with np.errstate(invalid="ignore"):
-                wneg = np.where(
-                    neg & fin[:, None],
-                    np.exp(s - np.where(fin, ld[lo:hi], 0.0)[:, None]),
-                    0.0,
-                )
-            gs = ci[:, None] * wneg - gpos
-            da[lo:hi] = (gs @ b.data) * inv_tau
-            db += (gs.T @ a.data[lo:hi]) * inv_tau
-        _accum(a, da)
-        _accum(b, db)
+        c = float(g) * inv_tau / n_contrib
+        _accum(a, da * c)
+        _accum(b, db * c)
 
-    return _record("contrastive_pair_loss", [a, b] if a is not b else [a], np.float64(value), bwd)
+    return _record("contrastive_pair_loss", [a, b] if a is not b else [a], np.float64(total / n_contrib), bwd)
 
 
 # ---------------------------------------------------------------------------

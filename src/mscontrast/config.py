@@ -43,7 +43,6 @@ class DatasetSpec:
 @dataclass
 class ModelSpec:
     d: int = EMBED_DIM_DEFAULT
-    loss_position: str = "backbone"
 
 
 @dataclass
@@ -70,9 +69,6 @@ class RunConfig:
             raise ValueError("steps and batch_size must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics)")
-        if self.model.loss_position != self.loss.loss_position:
-            # the loss config owns the knob; mirror it into the model spec
-            self.model.loss_position = self.loss.loss_position
         self.dataset.shapes_per_image = tuple(self.dataset.shapes_per_image)
         self.dataset.shape_size = tuple(self.dataset.shape_size)
 

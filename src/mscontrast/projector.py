@@ -6,29 +6,11 @@ d.  1x1 kernels preserve the spatial dimensions, so projected maps stay
 aligned with the label pyramid.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 
 EMBED_DIM_DEFAULT = 256
-
-
-@dataclass
-class FeatureMap:
-    """A (B, C, h, w) activation together with its output stride."""
-
-    tensor: ad.Tensor
-    stride: int
-
-    @property
-    def channels(self):
-        return self.tensor.data.shape[1]
-
-    @property
-    def spatial(self):
-        return self.tensor.data.shape[2:]
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -75,9 +57,6 @@ class Projector:
                 training=training)
         return ad.conv1x1(h, self.params["out.w"], self.params["out.b"])
 
-    def project(self, features: FeatureMap, training: bool) -> FeatureMap:
-        return FeatureMap(self(features.tensor, training), features.stride)
-
 
 class MultiScaleProjector:
     """One independent projector per stride, all sharing the embedding width."""
@@ -91,12 +70,8 @@ class MultiScaleProjector:
             for s, c in sorted(channels_by_stride.items())
         }
 
-    def __getitem__(self, stride: int) -> Projector:
-        return self.heads[stride]
-
     def project_all(self, features: dict, training: bool) -> dict:
-        return {s: self.heads[s](f.tensor if isinstance(f, FeatureMap) else f, training)
-                for s, f in features.items()}
+        return {s: self.heads[s](f, training) for s, f in features.items()}
 
     def named_parameters(self):
         for s, head in sorted(self.heads.items()):

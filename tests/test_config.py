@@ -68,9 +68,10 @@ def test_scale_weight_keys_normalized_to_int():
     assert cfg.loss.cross_pairs == ((4, 8, 1.0),)
 
 
-def test_loss_position_mirrors_into_model():
-    cfg = config_from_dict({"loss": {"loss_position": "neck"}})
-    assert cfg.model.loss_position == "neck"
+def test_loss_position_is_a_loss_setting_only():
+    assert config_from_dict({"loss": {"loss_position": "neck"}}).loss.loss_position == "neck"
+    with pytest.raises(ValueError, match="loss_position.*'model'"):
+        config_from_dict({"model": {"loss_position": "neck"}})
 
 
 def test_batch_size_floor():

@@ -80,7 +80,7 @@ def test_missing_scale_rejected():
 
 def test_neck_position_projects_logit_maps():
     model = ToySegNet(n_classes=5, d=8, seed=7, loss_position="neck")
-    assert model.projectors[4].in_channels == 5
+    assert model.projectors.heads[4].in_channels == 5
     x = ad.Tensor(np.random.default_rng(7).random(size=(2, 3, 32, 32)))
     with ad.no_grad():
         _, projected = model.forward(x, training=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mscontrast import autodiff as ad
-from mscontrast.projector import FeatureMap, MultiScaleProjector, Projector
+from mscontrast.projector import MultiScaleProjector, Projector
 from mscontrast.sampling import substream
 
 
@@ -78,8 +78,8 @@ def test_training_mode_updates_running_stats():
 
 def test_scales_have_independent_parameters():
     ms = MultiScaleProjector({4: 6, 8: 6, 16: 12, 32: 12}, d=16, seed=5)
-    assert ms[4] is not ms[8]
-    assert not np.array_equal(ms[4].params["b1.w"].data, ms[8].params["b1.w"].data)
+    assert ms.heads[4] is not ms.heads[8]
+    assert not np.array_equal(ms.heads[4].params["b1.w"].data, ms.heads[8].params["b1.w"].data)
     names = [n for n, _ in ms.named_parameters()]
     assert len(names) == len(set(names)) == 4 * 10
 
@@ -88,8 +88,8 @@ def test_project_all_maps_every_scale():
     rng = np.random.default_rng(6)
     ms = MultiScaleProjector({4: 3, 8: 5}, d=7, seed=6)
     feats = {
-        4: FeatureMap(ad.Tensor(rng.normal(size=(2, 3, 8, 8))), 4),
-        8: FeatureMap(ad.Tensor(rng.normal(size=(2, 5, 4, 4))), 8),
+        4: ad.Tensor(rng.normal(size=(2, 3, 8, 8))),
+        8: ad.Tensor(rng.normal(size=(2, 5, 4, 4))),
     }
     out = ms.project_all(feats, training=True)
     assert out[4].shape == (2, 7, 8, 8)
