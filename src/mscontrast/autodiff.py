@@ -276,8 +276,13 @@ def relu(a) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution, NCHW layout, single integer stride and symmetric zero padding.
 
-    x: (B, C, H, W), w: (O, C, kh, kw), b: (O,) or None.  The kernel loop runs
-    over at most kh*kw BLAS calls, which is plenty fast for 1x1 and 3x3 kernels.
+    x: (B, C, H, W), w: (O, C, kh, kw), b: (O,) or None.  The input is
+    unfolded into columns (B, C*kh*kw, Ho*Wo) by kh*kw strided copies, and the
+    convolution is one batched GEMM of the (O, C*kh*kw) weight with them; a
+    1x1 kernel with stride 1 and no padding uses the input itself as its
+    columns.  The backward pass unfolds the input again rather than holding
+    the columns between the passes, and folds the column gradient back with
+    the same kh*kw strided adds.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d: expected 4-d operands, got {x.data.shape} and {w.data.shape}")
@@ -293,31 +298,41 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     if Ho < 1 or Wo < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} does not fit input {H}x{W} with stride {s}, padding {p}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    out = np.zeros((B, O, Ho, Wo))
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, :, i : i + s * (Ho - 1) + 1 : s, j : j + s * (Wo - 1) + 1 : s]
-            out += np.einsum("bcyx,oc->boyx", xs, w.data[:, :, i, j], optimize=True)
+    pointwise = kh == kw == s == 1 and p == 0
+
+    def columns():
+        """(B, C*kh*kw, Ho*Wo), rows in the (C, kh, kw) order of the weight."""
+        if pointwise:
+            return x.data.reshape(B, C, H * W)
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        cols = np.empty((B, C, kh, kw, Ho, Wo))
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i : i + s * (Ho - 1) + 1 : s, j : j + s * (Wo - 1) + 1 : s]
+        return cols.reshape(B, C * kh * kw, Ho * Wo)
+
+    w2 = w.data.reshape(O, C * kh * kw)
+    out = (w2 @ columns()).reshape(B, O, Ho, Wo)
     if b is not None:
         out += b.data[None, :, None, None]
 
     inputs = [x, w] if b is None else [x, w, b]
 
     def bwd(g):
-        gp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
-        for i in range(kh):
-            for j in range(kw):
-                xs = xp[:, :, i : i + s * (Ho - 1) + 1 : s, j : j + s * (Wo - 1) + 1 : s]
-                dw[:, :, i, j] = np.einsum("boyx,bcyx->oc", g, xs, optimize=True)
-                gp[:, :, i : i + s * (Ho - 1) + 1 : s, j : j + s * (Wo - 1) + 1 : s] += np.einsum(
-                    "boyx,oc->bcyx", g, w.data[:, :, i, j], optimize=True
-                )
-        _accum(x, gp[:, :, p : p + H, p : p + W] if p else gp)
-        _accum(w, dw)
+        g2 = g.reshape(B, O, Ho * Wo)
+        _accum(w, (g2 @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
+        dcols = w2.T @ g2
+        if pointwise:
+            _accum(x, dcols.reshape(B, C, H, W))
+            return
+        dc = dcols.reshape(B, C, kh, kw, Ho, Wo)
+        dxp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i : i + s * (Ho - 1) + 1 : s, j : j + s * (Wo - 1) + 1 : s] += dc[:, :, i, j]
+        _accum(x, dxp[:, :, p : p + H, p : p + W] if p else dxp)
 
     return _record("conv2d", inputs, out, bwd)
 
@@ -405,42 +420,37 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _linear_coords(n_in: int, n_out: int):
+def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) linear interpolation weights at half-pixel-center source coordinates."""
     src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, src - i0
-
-
-def _scatter_add_axis(dst: np.ndarray, idx: np.ndarray, src: np.ndarray, axis: int):
-    np.add.at(np.moveaxis(dst, axis, 0), idx, np.moveaxis(src, axis, 0))
+    frac = src - i0
+    r = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    r[rows, i0] += 1.0 - frac
+    r[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    return r
 
 
 def bilinear_upsample(x: Tensor, size: tuple[int, int]) -> Tensor:
-    """Bilinear resize of (B, C, h, w) to (B, C, H, W), half-pixel-center convention."""
+    """Bilinear resize of (B, C, h, w) to (B, C, H, W), half-pixel-center convention.
+
+    Separable: out = ry @ x @ rx.T with the (H, h) and (W, w) interpolation
+    matrices, and the backward pass is ry.T @ g @ rx.
+    """
     if x.data.ndim != 4:
         raise ValueError(f"bilinear_upsample: expected (B, C, h, w), got {x.data.shape}")
     H, W = int(size[0]), int(size[1])
     h, w = x.data.shape[2:]
     if H < h or W < w:
         raise ValueError(f"bilinear_upsample: target {H}x{W} smaller than input {h}x{w}")
-    y0, y1, wy = _linear_coords(h, H)
-    x0, x1, wx = _linear_coords(w, W)
-    wy = wy[None, None, :, None]
-    wx = wx[None, None, None, :]
-    rows = x.data[:, :, y0, :] * (1.0 - wy) + x.data[:, :, y1, :] * wy
-    out = rows[:, :, :, x0] * (1.0 - wx) + rows[:, :, :, x1] * wx
+    ry = _interp_matrix(h, H)
+    rx = _interp_matrix(w, W)
 
     def bwd(g):
-        drows = np.zeros((x.data.shape[0], x.data.shape[1], H, w))
-        _scatter_add_axis(drows, x0, g * (1.0 - wx), axis=3)
-        _scatter_add_axis(drows, x1, g * wx, axis=3)
-        dx = np.zeros_like(x.data)
-        _scatter_add_axis(dx, y0, drows * (1.0 - wy), axis=2)
-        _scatter_add_axis(dx, y1, drows * wy, axis=2)
-        _accum(x, dx)
+        _accum(x, ry.T @ g @ rx)
 
-    return _record("bilinear_upsample", [x], out, bwd)
+    return _record("bilinear_upsample", [x], ry @ x.data @ rx.T, bwd)
 
 
 # ---------------------------------------------------------------------------

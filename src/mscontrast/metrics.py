@@ -51,32 +51,30 @@ def miou(pred: np.ndarray, gt: np.ndarray, n_classes: int,
     return IouResult(per_class, mean, sub)
 
 
-def class_separation_ratio(embeddings: np.ndarray, class_ids: np.ndarray) -> float:
-    """Mean intra-class over mean inter-class pairwise cosine distance.
+def class_sums(embeddings: np.ndarray, class_ids: np.ndarray, n_classes: int):
+    """Per-class row sums (n_classes, d) and row counts (n_classes,) for class ids in [0, n_classes)."""
+    onehot = np.asarray(class_ids)[None, :] == np.arange(n_classes)[:, None]
+    return onehot @ np.asarray(embeddings, dtype=np.float64), onehot.sum(axis=1)
 
-    Embeddings must be row-normalized.  Smaller is better: tight classes,
-    spread apart.  Computed from per-class sums, never materializing the
-    pairwise matrix.  Requires at least 2 classes and one intra-class pair.
+
+def separation_ratio_from_sums(sums: np.ndarray, counts: np.ndarray) -> float:
+    """Mean intra-class over mean inter-class pairwise cosine distance, from :func:`class_sums`.
+
+    The summed rows must be row-normalized.  Smaller is better: tight
+    classes, spread apart.  Requires at least 2 classes and one intra-class
+    pair.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    class_ids = np.asarray(class_ids)
-    n = embeddings.shape[0]
-    classes = np.unique(class_ids)
-    if classes.size < 2:
-        raise ValueError(f"need at least 2 classes, got {classes.size}")
+    n_present = int(np.count_nonzero(counts))
+    if n_present < 2:
+        raise ValueError(f"need at least 2 classes, got {n_present}")
     # sum over unordered pairs of cosine similarity, per class and globally:
     # sum_{i<j} z_i . z_j = (||sum z||^2 - n) / 2 for unit rows
-    intra_sim = 0.0
-    intra_pairs = 0
-    for c in classes:
-        rows = embeddings[class_ids == c]
-        m = rows.shape[0]
-        s = rows.sum(axis=0)
-        intra_sim += (float(s @ s) - m) / 2.0
-        intra_pairs += m * (m - 1) // 2
+    intra_sim = float((np.einsum("kd,kd->k", sums, sums) - counts).sum()) / 2.0
+    intra_pairs = int((counts * (counts - 1) // 2).sum())
     if intra_pairs == 0:
         raise ValueError("no intra-class pairs: every class is a singleton")
-    total = embeddings.sum(axis=0)
+    n = int(counts.sum())
+    total = sums.sum(axis=0)
     all_sim = (float(total @ total) - n) / 2.0
     all_pairs = n * (n - 1) // 2
     inter_pairs = all_pairs - intra_pairs
@@ -85,3 +83,13 @@ def class_separation_ratio(embeddings: np.ndarray, class_ids: np.ndarray) -> flo
     if mean_inter_dist <= 0:
         return float("inf")
     return mean_intra_dist / mean_inter_dist
+
+
+def class_separation_ratio(embeddings: np.ndarray, class_ids: np.ndarray) -> float:
+    """:func:`separation_ratio_from_sums` of row-normalized embeddings labelled by any class ids.
+
+    Never materializes the pairwise matrix.  Requires at least 2 classes and
+    one intra-class pair.
+    """
+    classes, inverse = np.unique(np.asarray(class_ids), return_inverse=True)
+    return separation_ratio_from_sums(*class_sums(embeddings, inverse.ravel(), classes.size))

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .config import RunConfig, config_hash, config_to_dict
 from .labels import build_pyramid, downsample_labels
 from .losses import LossConfig, cross_scale_loss, info_nce, multi_scale_loss, total_loss
-from .metrics import class_separation_ratio, miou
+from .metrics import class_sums, miou, separation_ratio_from_sums
 from .model import ToySegNet
 from .sampling import AnchorSet, SamplerRng, build_pool, dense_anchor_set, sample_anchor_set, substream
 from .scenes import SceneDataset
@@ -211,7 +211,8 @@ def evaluate_model(model: ToySegNet, dataset: SceneDataset, cfg: RunConfig) -> d
     """mIoU report plus the stride-4 class-separation ratio of the projected space."""
     n_classes = cfg.dataset.n_classes
     preds, gts = [], []
-    embeddings, emb_classes = [], []
+    sums = np.zeros((n_classes, model.projectors.d))
+    counts = np.zeros(n_classes, dtype=np.int64)
     batch = cfg.batch_size
     with ad.no_grad():
         for lo in range(0, len(dataset), batch):
@@ -226,14 +227,15 @@ def evaluate_model(model: ToySegNet, dataset: SceneDataset, cfg: RunConfig) -> d
             pool = build_pool(labels4, 4)
             if len(pool):
                 emb = dense_anchor_set(pool, z, normalize=True)
-                embeddings.append(emb.embeddings.data)
-                emb_classes.append(emb.class_ids)
+                s, c = class_sums(emb.embeddings.data, emb.class_ids, n_classes)
+                sums += s
+                counts += c
     pred = np.concatenate(preds)
     gt = np.concatenate(gts)
     subgroup = [cfg.dataset.rare_class] if cfg.dataset.rare_class is not None else None
     res = miou(pred, gt, n_classes, subgroup=subgroup)
     try:
-        ratio = class_separation_ratio(np.concatenate(embeddings), np.concatenate(emb_classes))
+        ratio = separation_ratio_from_sums(sums, counts)
     except ValueError:
         ratio = float("nan")
     return {

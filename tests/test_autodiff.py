@@ -137,6 +137,54 @@ def test_conv2d_strided_padded():
     ad.check_gradients(f, [x, w, b])
 
 
+def _conv2d_by_definition(x, w, b, g, stride, padding):
+    """Forward value and the x, w, b vector-Jacobian products of g, summed term by term."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    out = np.zeros((B, O, Ho, Wo))
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for n in range(B):
+        for o in range(O):
+            for yo in range(Ho):
+                for xo in range(Wo):
+                    out[n, o, yo, xo] += b[o]
+                    db[o] += g[n, o, yo, xo]
+                    for c in range(C):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, q = yo * stride + i - padding, xo * stride + j - padding
+                                if 0 <= r < H and 0 <= q < W:
+                                    out[n, o, yo, xo] += x[n, c, r, q] * w[o, c, i, j]
+                                    dx[n, c, r, q] += g[n, o, yo, xo] * w[o, c, i, j]
+                                    dw[o, c, i, j] += g[n, o, yo, xo] * x[n, c, r, q]
+    return out, dx, dw, db
+
+
+@pytest.mark.parametrize("B, C, H, W, O, k, stride, padding", [
+    (1, 3, 4, 6, 2, 1, 1, 0),   # pointwise: the input is its own columns
+    (3, 2, 5, 3, 4, 1, 1, 0),
+    (2, 3, 4, 5, 2, 1, 1, 1),   # 1x1 with padding
+    (1, 2, 7, 6, 3, 1, 2, 0),   # 1x1 with stride
+    (3, 2, 5, 7, 3, 3, 1, 1),
+    (1, 3, 6, 5, 2, 3, 2, 1),
+    (3, 2, 7, 4, 2, 3, 2, 2),
+    (1, 2, 4, 6, 3, 3, 1, 0),
+])
+def test_conv2d_matches_its_definition(B, C, H, W, O, k, stride, padding):
+    rng = np.random.default_rng(B * 1000 + H * 100 + k * 10 + stride + padding)
+    x, w, b = rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, k, k)), rng.normal(size=O)
+    xt, wt, bt = (ad.Tensor(v, requires_grad=True) for v in (x, w, b))
+    y = ad.conv2d(xt, wt, bt, stride=stride, padding=padding)
+    g = rng.normal(size=y.shape)
+    ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))))
+    for got, want in zip((y.data, xt.grad, wt.grad, bt.grad),
+                         _conv2d_by_definition(x, w, b, g, stride, padding)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_conv2d_channel_mismatch():
     x = ad.Tensor(np.zeros((1, 3, 4, 4)))
     w = ad.Tensor(np.zeros((2, 4, 1, 1)))
@@ -230,6 +278,46 @@ def test_bilinear_upsample_gradcheck():
     rng = np.random.default_rng(23)
     x = ad.Tensor(rng.normal(size=(2, 3, 3, 5)), requires_grad=True)
     ad.check_gradients(lambda: ad.tsum(ad.mul(ad.bilinear_upsample(x, (7, 9)), ad.bilinear_upsample(x, (7, 9)))), [x])
+
+
+def _bilinear_by_definition(x, H, W):
+    """Each output pixel from its four source neighbours at half-pixel-center coordinates."""
+    h, w = x.shape[2:]
+
+    def source(o, n_in, n_out):
+        c = min(max((o + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+        i0 = math.floor(c)
+        return i0, min(i0 + 1, n_in - 1), c - i0
+
+    out = np.zeros(x.shape[:2] + (H, W))
+    for yo in range(H):
+        y0, y1, fy = source(yo, h, H)
+        for xo in range(W):
+            x0, x1, fx = source(xo, w, W)
+            out[:, :, yo, xo] = ((1 - fy) * (1 - fx) * x[:, :, y0, x0] + (1 - fy) * fx * x[:, :, y0, x1]
+                                 + fy * (1 - fx) * x[:, :, y1, x0] + fy * fx * x[:, :, y1, x1])
+    return out
+
+
+@pytest.mark.parametrize("shape, size", [
+    ((2, 3, 5, 7), (13, 29)),   # non-integer ratios
+    ((1, 2, 4, 6), (4, 6)),     # same size
+    ((2, 1, 1, 1), (3, 5)),     # one input pixel
+])
+def test_bilinear_upsample_matches_per_pixel_definition(shape, size):
+    rng = np.random.default_rng(sum(shape) + sum(size))
+    x = rng.normal(size=shape)
+    xt = ad.Tensor(x, requires_grad=True)
+    y = ad.bilinear_upsample(xt, size)
+    want = _bilinear_by_definition(x, *size)
+    assert np.abs(y.data - want).max() <= 1e-12 * np.abs(want).max()
+    if shape[2:] == size:
+        assert np.array_equal(y.data, x)
+    # adjoint: <up(x), g> = <x, up^T(g)>, with up^T(g) the backward pass
+    g = rng.normal(size=y.shape)
+    ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))))
+    lhs, rhs = float((y.data * g).sum()), float((x * xt.grad).sum())
+    assert abs(lhs - rhs) <= 1e-12 * np.abs(y.data * g).sum()
 
 
 def test_softmax_rows_sum_to_one_and_grad():

@@ -7,11 +7,15 @@ import pytest
 
 from mscontrast import autodiff as ad
 from mscontrast.config import config_from_dict
+from mscontrast.labels import build_pyramid
+from mscontrast.metrics import class_separation_ratio
+from mscontrast.sampling import build_pool, dense_anchor_set
 from mscontrast.scenes import SceneDataset
 from mscontrast.training import (
     benchmark_sampling,
     build_model,
     evaluate_checkpoint,
+    evaluate_model,
     export_embeddings,
     load_checkpoint,
     poly_lr,
@@ -192,6 +196,25 @@ def test_evaluate_checkpoint_class_count_mismatch(tmp_path):
     other = tiny_cfg(tmp_path, "ev3", steps=2, dataset={"n_classes": 3})
     with pytest.raises(ValueError, match="class-count mismatch"):
         evaluate_checkpoint(ckpt, other)
+
+
+def test_evaluate_model_ratio_equals_ratio_of_all_embeddings(tmp_path):
+    # evaluate_model keeps per-class sums batch by batch; the ratio must be
+    # the one of every stride-4 embedding of the split taken at once
+    cfg = tiny_cfg(tmp_path, "r", dataset={"n_eval": 5})
+    model = build_model(cfg)
+    ds = SceneDataset(cfg.dataset.scene_spec(), 11, cfg.dataset.n_eval)
+    report = evaluate_model(model, ds, cfg)
+    embeddings, classes = [], []
+    with ad.no_grad():
+        for lo in range(0, len(ds), cfg.batch_size):
+            images, labels = ds.batch(range(lo, min(lo + cfg.batch_size, len(ds))))
+            _, projected = model.forward(ad.Tensor(images), training=False)
+            emb = dense_anchor_set(build_pool(build_pyramid(labels, [4])[4], 4), projected[4])
+            embeddings.append(emb.embeddings.data)
+            classes.append(emb.class_ids)
+    want = class_separation_ratio(np.concatenate(embeddings), np.concatenate(classes))
+    assert abs(report["r_stride4"] - want) <= 1e-12 * abs(want)
 
 
 def test_benchmark_pair_counts():
