@@ -24,14 +24,12 @@ __all__ = [
     "mul",
     "scale",
     "tsum",
-    "matmul",
     "relu",
     "conv2d",
     "conv1x1",
     "batchnorm2d",
     "bilinear_upsample",
     "l2_normalize_rows",
-    "softmax",
     "softmax_cross_entropy",
     "gather_positions",
     "contrastive_pair_loss",
@@ -65,19 +63,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -245,17 +230,6 @@ def tsum(a: Tensor) -> Tensor:
         _accum(a, np.full_like(a.data, float(g)))
 
     return _record("sum", [a], a.data.sum(), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-
-    def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _record("matmul", [a, b], a.data @ b.data, bwd)
 
 
 def relu(a) -> Tensor:
@@ -454,19 +428,8 @@ def bilinear_upsample(x: Tensor, size: tuple[int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax family
+# cross-entropy
 # ---------------------------------------------------------------------------
-
-
-def softmax(x: Tensor, axis: int = 1) -> Tensor:
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        _accum(x, p * (g - (p * g).sum(axis=axis, keepdims=True)))
-
-    return _record("softmax", [x], p, bwd)
 
 
 def softmax_cross_entropy(pred: Tensor, target: np.ndarray, ignore_index: int = 255) -> Tensor:

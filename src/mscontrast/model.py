@@ -4,7 +4,7 @@ The encoder is eight plain 3x3 conv-BN-ReLU layers arranged in four stride-2
 stages, emitting feature maps at output strides 4, 8, 16 and 32 with channel
 widths (32, 64, 96, 128).  The segmentation head maps each scale to class
 logits with a 1x1 conv, upsamples bilinearly to input resolution and sums;
-softmax of that sum is the per-pixel prediction.  Contrastive projectors
+the argmax of that sum is the per-pixel prediction.  Contrastive projectors
 attach either to the raw encoder features ("backbone") or to the per-scale
 class-logit maps ("neck").
 """
@@ -123,15 +123,11 @@ class ToySegNet:
         projected = self.projectors.project_all(source, training)
         return fused, projected
 
-    def segment(self, image: ad.Tensor, training: bool = False) -> ad.Tensor:
-        """Per-pixel class probabilities."""
-        feats = self.encoder(image, training)
-        return ad.softmax(self.head.logits(feats, image.data.shape[2:]), axis=1)
-
     def predict(self, image: ad.Tensor) -> np.ndarray:
+        """Per-pixel class ids: the argmax of the fused logits."""
         with ad.no_grad():
-            probs = self.segment(image, training=False)
-        return np.argmax(probs.data, axis=1)
+            logits = self.head.logits(self.encoder(image, training=False), image.data.shape[2:])
+        return np.argmax(logits.data, axis=1)
 
     def named_parameters(self):
         for name, p in self.encoder.params.items():

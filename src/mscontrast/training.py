@@ -12,11 +12,12 @@ import logging
 import os
 import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig, config_hash, config_to_dict
+from .config import RunConfig, config_from_dict, config_hash, config_to_dict
 from .labels import build_pyramid, downsample_labels
 from .losses import LossConfig, cross_scale_loss, info_nce, multi_scale_loss, total_loss
 from .metrics import class_sums, miou, separation_ratio_from_sums
@@ -77,35 +78,53 @@ def save_checkpoint(path: str, model: ToySegNet, velocities: dict, step: int, cf
         np.savez(f, **arrays)
 
 
+def _read_checkpoint(path: str, sections=()) -> dict:
+    """Read a checkpoint written by save_checkpoint; the only reader of its keys and version.
+
+    Returns the stored ``step``, ``config_hash`` and ``config`` (a dict), and
+    for each of ``sections`` ("param", "buffer", "vel") a dict of its arrays
+    by name; other sections are not read.  A file that is not a readable
+    checkpoint raises ValueError naming the path.
+    """
+    try:
+        with np.load(path) as z:
+            version = int(z["meta/version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            out = {"step": int(z["meta/step"]), "config_hash": str(z["meta/config_hash"]),
+                   "config": json.loads(str(z["meta/config_json"]))}
+            for section in sections:
+                prefix = section + "/"
+                out[section] = {k[len(prefix):]: z[k] for k in z.files if k.startswith(prefix)}
+            return out
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path} is not a readable checkpoint: {e}") from e
+
+
 def load_checkpoint(path: str, model: ToySegNet, velocities: dict | None = None,
                     cfg: RunConfig | None = None) -> int:
     """Restore parameters, buffers and optimizer state in place; returns the step."""
-    with np.load(path) as z:
-        if int(z["meta/version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(z['meta/version'])}")
-        if cfg is not None and str(z["meta/config_hash"]) != config_hash(cfg):
-            raise ValueError("checkpoint config does not match the provided config")
-        stored_params = {k[len("param/"):] for k in z.files if k.startswith("param/")}
-        model_params = dict(model.named_parameters())
-        if stored_params != set(model_params):
-            missing = sorted(set(model_params) - stored_params)
-            extra = sorted(stored_params - set(model_params))
-            raise ValueError(f"checkpoint/model mismatch: missing {missing}, unexpected {extra}")
-        for name, p in model_params.items():
-            p.data[:] = z[f"param/{name}"]
-        for name, b in model.named_buffers():
-            b[:] = z[f"buffer/{name}"]
-        if velocities is not None:
-            for name in velocities:
-                velocities[name][:] = z[f"vel/{name}"]
-        return int(z["meta/step"])
+    sections = ("param", "buffer") if velocities is None else ("param", "buffer", "vel")
+    ckpt = _read_checkpoint(path, sections)
+    if cfg is not None and ckpt["config_hash"] != config_hash(cfg):
+        raise ValueError("checkpoint config does not match the provided config")
+    stored, model_params = ckpt["param"], dict(model.named_parameters())
+    if set(stored) != set(model_params):
+        missing = sorted(set(model_params) - set(stored))
+        extra = sorted(set(stored) - set(model_params))
+        raise ValueError(f"checkpoint/model mismatch: missing {missing}, unexpected {extra}")
+    for name, p in model_params.items():
+        p.data[:] = stored[name]
+    for name, b in model.named_buffers():
+        b[:] = ckpt["buffer"][name]
+    if velocities is not None:
+        for name in velocities:
+            velocities[name][:] = ckpt["vel"][name]
+    return ckpt["step"]
 
 
 def checkpoint_config(path: str) -> RunConfig:
-    from .config import config_from_dict
-
-    with np.load(path) as z:
-        return config_from_dict(json.loads(str(z["meta/config_json"])))
+    return config_from_dict(_read_checkpoint(path)["config"])
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +135,10 @@ def checkpoint_config(path: str) -> RunConfig:
 def build_model(cfg: RunConfig) -> ToySegNet:
     return ToySegNet(n_classes=cfg.dataset.n_classes, d=cfg.model.d, seed=cfg.seed,
                      loss_position=cfg.loss.loss_position)
+
+
+def _eval_split(cfg: RunConfig) -> SceneDataset:
+    return SceneDataset(cfg.dataset.scene_spec(), cfg.seed + EVAL_SEED_OFFSET, cfg.dataset.n_eval)
 
 
 def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
@@ -133,7 +156,7 @@ def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
         start_step = load_checkpoint(resume_from, model, velocities, cfg)
 
     train_ds = SceneDataset(cfg.dataset.scene_spec(), cfg.seed, cfg.dataset.n_train)
-    eval_ds = SceneDataset(cfg.dataset.scene_spec(), cfg.seed + EVAL_SEED_OFFSET, cfg.dataset.n_eval)
+    eval_ds = _eval_split(cfg)
     srng = SamplerRng(cfg.seed)
     strides = sorted(cfg.loss.scale_weights)
     contrastive_on = cfg.loss.lambda_cms > 0 or cfg.loss.lambda_ccs > 0
@@ -207,29 +230,30 @@ def _sanitize(x):
     return x
 
 
+def _eval_batches(model: ToySegNet, dataset: SceneDataset, batch_size: int):
+    """Yields (labels, logits, projected maps) for each batch of a split, forward run with no tape."""
+    for lo in range(0, len(dataset), batch_size):
+        images, labels = dataset.batch(range(lo, min(lo + batch_size, len(dataset))))
+        with ad.no_grad():
+            logits, projected = model.forward(ad.Tensor(images), training=False)
+        yield labels, logits, projected
+
+
 def evaluate_model(model: ToySegNet, dataset: SceneDataset, cfg: RunConfig) -> dict:
     """mIoU report plus the stride-4 class-separation ratio of the projected space."""
     n_classes = cfg.dataset.n_classes
     preds, gts = [], []
     sums = np.zeros((n_classes, model.projectors.d))
     counts = np.zeros(n_classes, dtype=np.int64)
-    batch = cfg.batch_size
-    with ad.no_grad():
-        for lo in range(0, len(dataset), batch):
-            idx = range(lo, min(lo + batch, len(dataset)))
-            images, labels = dataset.batch(idx)
-            x = ad.Tensor(images)
-            logits, projected = model.forward(x, training=False)
-            preds.append(np.argmax(logits.data, axis=1))
-            gts.append(labels)
-            z = projected[4]
-            labels4 = build_pyramid(labels, [4])[4]
-            pool = build_pool(labels4, 4)
-            if len(pool):
-                emb = dense_anchor_set(pool, z, normalize=True)
-                s, c = class_sums(emb.embeddings.data, emb.class_ids, n_classes)
-                sums += s
-                counts += c
+    for labels, logits, projected in _eval_batches(model, dataset, cfg.batch_size):
+        preds.append(np.argmax(logits.data, axis=1))
+        gts.append(labels)
+        pool = build_pool(build_pyramid(labels, [4])[4], 4)
+        if len(pool):
+            emb = dense_anchor_set(pool, projected[4], normalize=True)
+            s, c = class_sums(emb.embeddings.data, emb.class_ids, n_classes)
+            sums += s
+            counts += c
     pred = np.concatenate(preds)
     gt = np.concatenate(gts)
     subgroup = [cfg.dataset.rare_class] if cfg.dataset.rare_class is not None else None
@@ -246,8 +270,8 @@ def evaluate_model(model: ToySegNet, dataset: SceneDataset, cfg: RunConfig) -> d
     }
 
 
-def evaluate_checkpoint(ckpt_path: str, cfg: RunConfig) -> dict:
-    """Evaluate a stored checkpoint on the eval split described by cfg."""
+def _load_for_eval(ckpt_path: str, cfg: RunConfig) -> ToySegNet:
+    """The checkpoint's model, built from its stored config, for use on cfg's eval split."""
     stored = checkpoint_config(ckpt_path)
     if stored.dataset.n_classes != cfg.dataset.n_classes:
         raise ValueError(
@@ -255,8 +279,12 @@ def evaluate_checkpoint(ckpt_path: str, cfg: RunConfig) -> dict:
             f"classes, config declares {cfg.dataset.n_classes}")
     model = build_model(stored)
     load_checkpoint(ckpt_path, model)
-    eval_ds = SceneDataset(cfg.dataset.scene_spec(), cfg.seed + EVAL_SEED_OFFSET, cfg.dataset.n_eval)
-    return evaluate_model(model, eval_ds, cfg)
+    return model
+
+
+def evaluate_checkpoint(ckpt_path: str, cfg: RunConfig) -> dict:
+    """Evaluate a stored checkpoint on the eval split described by cfg."""
+    return evaluate_model(_load_for_eval(ckpt_path, cfg), _eval_split(cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +298,16 @@ def export_embeddings(ckpt_path: str, cfg: RunConfig, scale: int, n_per_class: i
     Columns: class_id, scale, e0..e{d-1}; floats at 9 significant digits.
     Returns the number of data rows written.
     """
-    stored = checkpoint_config(ckpt_path)
-    model = build_model(stored)
-    load_checkpoint(ckpt_path, model)
+    model = _load_for_eval(ckpt_path, cfg)
     if scale not in model.projectors.heads:
         raise ValueError(f"scale {scale} not present in the model (have {sorted(model.projectors.heads)})")
-    eval_ds = SceneDataset(cfg.dataset.scene_spec(), cfg.seed + EVAL_SEED_OFFSET, cfg.dataset.n_eval)
 
     maps, label_maps = [], []
-    with ad.no_grad():
-        for lo in range(0, len(eval_ds), cfg.batch_size):
-            idx = range(lo, min(lo + cfg.batch_size, len(eval_ds)))
-            images, labels = eval_ds.batch(idx)
-            _, projected = model.forward(ad.Tensor(images), training=False)
-            maps.append(projected[scale].data)
-            label_maps.append(build_pyramid(labels, [scale])[scale])
+    for labels, _, projected in _eval_batches(model, _eval_split(cfg), cfg.batch_size):
+        maps.append(projected[scale].data)
+        label_maps.append(build_pyramid(labels, [scale])[scale])
     projected_all = ad.Tensor(np.concatenate(maps))
-    labels_all = np.concatenate(label_maps)
-    pool = build_pool(labels_all, scale)
+    pool = build_pool(np.concatenate(label_maps), scale)
 
     d = model.projectors.d
     header = "class_id,scale," + ",".join(f"e{i}" for i in range(d))

@@ -2,10 +2,13 @@ import json
 import logging
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from mscontrast.cli import _parse_shapes, main
+from mscontrast.config import load_config
+from mscontrast.training import build_model, save_checkpoint
 
 @pytest.fixture(autouse=True)
 def _quiet_loss_warnings():
@@ -59,6 +62,30 @@ def test_missing_checkpoint_is_structured_error(tiny_yaml, capsys):
     assert main(["eval", "/does/not/exist.npz", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "train"])
+@pytest.mark.parametrize("damage", ["no_checkpoint_keys", "cut_to_50_bytes"])
+def test_unreadable_checkpoint_is_structured_error(tiny_yaml, tmp_path, capsys, damage, command):
+    path, _ = tiny_yaml
+    bad = tmp_path / "bad.npz"
+    if damage == "no_checkpoint_keys":
+        np.savez(bad, weights=np.zeros(3))
+    else:
+        # what a crash while writing a checkpoint leaves behind
+        cfg = load_config(path)
+        model = build_model(cfg)
+        save_checkpoint(str(bad), model, {n: np.zeros_like(p.data) for n, p in model.named_parameters()},
+                        0, cfg)
+        bad.write_bytes(bad.read_bytes()[:50])
+    argv = {"eval": ["eval", str(bad), path],
+            "export-embeddings": ["export-embeddings", str(bad), path, "--scale", "4",
+                                  "--per-class", "1", "--out", str(tmp_path / "x.csv")],
+            "train": ["train", path, "--resume", str(bad)]}[command]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert str(bad) in err["message"]
 
 
 def test_bad_config_is_structured_error(tmp_path, capsys):

@@ -9,9 +9,11 @@ from mscontrast import autodiff as ad
 from mscontrast.config import config_from_dict
 from mscontrast.labels import build_pyramid
 from mscontrast.metrics import class_separation_ratio
-from mscontrast.sampling import build_pool, dense_anchor_set
+from mscontrast.sampling import build_pool, dense_anchor_set, sample_anchor_set, substream
 from mscontrast.scenes import SceneDataset
 from mscontrast.training import (
+    EVAL_SEED_OFFSET,
+    NS_EXPORT,
     benchmark_sampling,
     build_model,
     evaluate_checkpoint,
@@ -175,6 +177,48 @@ def test_export_embeddings_csv(tmp_path):
     assert len(set(counts.tolist())) == 1
 
 
+@pytest.mark.parametrize("scale, n_per_class", [(4, 6), (16, 2)])
+def test_export_bytes_match_an_oracle(tmp_path, scale, n_per_class):
+    # the oracle runs the forward over the eval split itself, pools the
+    # concatenated labels at the scale and draws from the export's substream
+    cfg = tiny_cfg(tmp_path, f"exb{scale}", steps=2)
+    model, _, ckpt = train(cfg)
+    split = SceneDataset(cfg.dataset.scene_spec(), cfg.seed + EVAL_SEED_OFFSET, cfg.dataset.n_eval)
+    maps, label_maps = [], []
+    with ad.no_grad():
+        for lo in range(0, len(split), cfg.batch_size):
+            images, labels = split.batch(range(lo, min(lo + cfg.batch_size, len(split))))
+            _, projected = model.forward(ad.Tensor(images), training=False)
+            maps.append(projected[scale].data)
+            label_maps.append(build_pyramid(labels, [scale])[scale])
+    pool = build_pool(np.concatenate(label_maps), scale)
+    n_present = len(np.unique(pool.class_ids))
+    anchors = sample_anchor_set(pool, ad.Tensor(np.concatenate(maps)), n_per_class * n_present,
+                                substream(cfg.seed, NS_EXPORT, scale))
+    want = "class_id,scale," + ",".join(f"e{i}" for i in range(cfg.model.d)) + "\n"
+    for cls, row in zip(anchors.class_ids, anchors.embeddings.data):
+        want += f"{cls},{scale}," + ",".join("%.9g" % v for v in row) + "\n"
+
+    out = str(tmp_path / "emb.csv")
+    rows = export_embeddings(ckpt, cfg, scale=scale, n_per_class=n_per_class, out_path=out)
+    assert rows == len(anchors) > 0
+    assert open(out).read() == want
+
+
+def test_eval_and_export_leave_gradient_recording_on(tmp_path):
+    # both run their forwards with no tape; recording must be back on once they return
+    def records():
+        x = ad.Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        return ad.relu(x).tape is not None
+
+    cfg = tiny_cfg(tmp_path, "ng", steps=2)
+    model, _, ckpt = train(cfg)
+    evaluate_model(model, SceneDataset(cfg.dataset.scene_spec(), 5, 3), cfg)
+    assert records()
+    export_embeddings(ckpt, cfg, scale=4, n_per_class=2, out_path=str(tmp_path / "ng.csv"))
+    assert records()
+
+
 def test_export_zero_per_class_writes_header_only(tmp_path):
     cfg = tiny_cfg(tmp_path, "exp0", steps=2)
     _, _, ckpt = train(cfg)
@@ -196,6 +240,10 @@ def test_evaluate_checkpoint_class_count_mismatch(tmp_path):
     other = tiny_cfg(tmp_path, "ev3", steps=2, dataset={"n_classes": 3})
     with pytest.raises(ValueError, match="class-count mismatch"):
         evaluate_checkpoint(ckpt, other)
+    out = str(tmp_path / "ev3.csv")
+    with pytest.raises(ValueError, match="class-count mismatch"):
+        export_embeddings(ckpt, other, scale=4, n_per_class=2, out_path=out)
+    assert not os.path.exists(out)
 
 
 def test_evaluate_model_ratio_equals_ratio_of_all_embeddings(tmp_path):
