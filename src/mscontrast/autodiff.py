@@ -33,6 +33,7 @@ __all__ = [
     "softmax_cross_entropy",
     "gather_positions",
     "contrastive_pair_loss",
+    "NoPositivePairs",
     "finite_difference_grad",
     "check_gradients",
 ]
@@ -481,9 +482,10 @@ def gather_positions(x: Tensor, b_idx: np.ndarray, r_idx: np.ndarray, c_idx: np.
     b_idx = np.asarray(b_idx, dtype=np.intp)
     r_idx = np.asarray(r_idx, dtype=np.intp)
     c_idx = np.asarray(c_idx, dtype=np.intp)
-    if np.any(b_idx < 0) or np.any(b_idx >= B) or np.any(r_idx < 0) or np.any(r_idx >= h) \
-            or np.any(c_idx < 0) or np.any(c_idx >= w):
-        raise ValueError("gather_positions: index out of bounds")
+    try:
+        np.ravel_multi_index((b_idx, r_idx, c_idx), (B, h, w))
+    except ValueError:
+        raise ValueError("gather_positions: index out of bounds") from None
     index = (b_idx, slice(None), r_idx, c_idx)
 
     def bwd(g):
@@ -497,23 +499,28 @@ def gather_positions(x: Tensor, b_idx: np.ndarray, r_idx: np.ndarray, c_idx: np.
 CONTRASTIVE_BLOCK = 1024  # rows of the similarity matrix held at once
 
 
+class NoPositivePairs(ValueError):
+    """No row of a contrastive term has a positive: the term has nothing to contrast."""
+
+
 def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes: np.ndarray,
-                          tau: float, same_rows: bool = False) -> Tensor:
+                          tau: float) -> Tensor:
     """Supervised InfoNCE of the rows of ``a`` against the rows of ``b``.
 
     This is the pair rule of every contrastive loss in the package: row j of
     ``b`` is a positive of row i of ``a`` when their class ids are equal and a
-    negative when they differ.  ``same_rows`` says that ``a`` and ``b`` hold
-    the same anchors in the same order, so that the diagonal pairs an anchor
-    with itself; an anchor is never its own positive, and the diagonal is then
-    neither positive nor negative.
+    negative when they differ.  When ``b is a`` one set (with one labeling)
+    is contrasted with itself: an anchor is never its own positive, so the
+    diagonal is neither positive nor negative.  Distinct tensors are two sets,
+    even with equal values, and the diagonal then pairs like any other entry.
 
     For each row i with at least one positive, the per-pair term for a
     positive j is softplus(logsumexp_n(s_in) - s_ij) with s = (a @ b.T)/tau,
     i.e. the -log of the softmax of the positive against that row's negatives.
     Terms are averaged over positives per row, then over contributing rows.
-    Rows without negatives contribute 0.  Gradients flow into both ``a`` and
-    ``b`` (which may be the same tensor).
+    Rows without negatives contribute 0.  If no row has a positive the term
+    is undefined and :class:`NoPositivePairs` is raised.  Gradients flow into
+    both ``a`` and ``b``.
 
     Computed in blocks of ``CONTRASTIVE_BLOCK`` rows so neither the (n, m)
     similarity matrix nor the pair masks are ever materialized whole.  When
@@ -528,9 +535,11 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
     if d != d2:
         raise ValueError(f"contrastive_pair_loss: embedding widths differ ({d} vs {d2})")
     a_classes, b_classes = np.asarray(a_classes), np.asarray(b_classes)
-    if a_classes.shape != (n,) or b_classes.shape != (m,) or (same_rows and n != m):
+    if a_classes.shape != (n,) or b_classes.shape != (m,):
         raise ValueError(f"contrastive_pair_loss: class ids {a_classes.shape}, {b_classes.shape} do not "
-                         f"label {n} and {m} rows{' of one set' if same_rows else ''}")
+                         f"label {n} and {m} rows")
+    if b is a and b_classes is not a_classes and not np.array_equal(a_classes, b_classes):
+        raise ValueError("contrastive_pair_loss: one set contrasted with itself has two different labelings")
 
     taped = _GRAD_ENABLED[-1] and (_tracked(a) or _tracked(b))
     if taped:
@@ -542,13 +551,13 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
         hi = min(lo + CONTRASTIVE_BLOCK, n)
         pos = a_classes[lo:hi, None] == b_classes[None, :]
         neg = ~pos
-        if same_rows:
+        if b is a:
             pos[np.arange(hi - lo), np.arange(lo, hi)] = False
         s = (a.data[lo:hi] @ b.data.T) * inv_tau
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise FloatingPointError("contrastive_pair_loss: non-finite similarity")
         sn = np.where(neg, s, -np.inf)
-        mx = np.max(sn, axis=1)
+        mx = sn.max(axis=1)
         fin = np.isfinite(mx)
         shift = np.where(fin, mx, 0.0)
         e = np.exp(sn - shift[:, None])
@@ -569,7 +578,7 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
             da[lo:hi] = gs @ b.data
             db += gs.T @ a.data[lo:hi]
     if n_contrib == 0:
-        raise ValueError("no positive pairs")
+        raise NoPositivePairs("no positive pairs")
 
     def bwd(g):
         c = float(g) * inv_tau / n_contrib

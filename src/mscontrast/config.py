@@ -86,7 +86,11 @@ def _build(cls, data: dict, path: str):
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)} in section '{path}'")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except (TypeError, AttributeError, IndexError) as e:
+        # a value of the wrong type or shape, e.g. a string where a number belongs
+        raise ValueError(f"malformed value in config section '{path}': {e}") from e
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -96,11 +100,6 @@ def config_from_dict(data: dict) -> RunConfig:
         section = data.pop(name, {})
         if not isinstance(section, dict):
             raise ValueError(f"config section '{name}' must be a mapping")
-        if name == "loss":
-            if "scale_weights" in section:
-                section["scale_weights"] = {int(k): float(v) for k, v in section["scale_weights"].items()}
-            if "cross_pairs" in section:
-                section["cross_pairs"] = tuple(tuple(p) for p in section["cross_pairs"])
         kwargs[name] = _build(cls, section, name)
     return _build(RunConfig, {**data, **kwargs}, "run")
 

@@ -4,9 +4,9 @@ Every term is :func:`mscontrast.autodiff.contrastive_pair_loss`, whose
 docstring states the pair rule and the per-anchor InfoNCE form.  Within a
 scale a set is contrasted with itself.  The multi-scale loss is a weighted
 sum of per-scale terms; the cross-scale loss contrasts the anchors of one
-scale with those of another and is symmetrized as the mean of both
-directions.  The total objective adds both terms to the cross-entropy with
-scalar weights.
+stride with those of another and is symmetrized as the mean of both
+directions.  A term without a positive pair raises ``NoPositivePairs`` and is
+skipped with a warning.  The total adds both to the cross-entropy.
 """
 
 import logging
@@ -31,12 +31,12 @@ class LossConfig:
     lambda_cms: float = 0.1
     lambda_ccs: float = 0.1
     a_max: int = A_MAX_DEFAULT
-    normalize_embeddings: bool = True
     loss_position: str = "backbone"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        self.scale_weights = {int(k): float(v) for k, v in self.scale_weights.items()}
         if any(w < 0 for w in self.scale_weights.values()):
             raise ValueError("scale weights must be non-negative")
         if self.lambda_cms < 0 or self.lambda_ccs < 0:
@@ -45,12 +45,13 @@ class LossConfig:
             raise ValueError(f"loss_position must be 'backbone' or 'neck', got {self.loss_position!r}")
         pairs = []
         for pair in self.cross_pairs:
-            if len(pair) == 2:
-                s, s2, w = int(pair[0]), int(pair[1]), 1.0
-            else:
-                s, s2, w = int(pair[0]), int(pair[1]), float(pair[2])
+            if len(pair) not in (2, 3):
+                raise ValueError(f"cross pair {pair!r} is not [stride, stride] or [stride, stride, weight]")
+            s, s2, w = int(pair[0]), int(pair[1]), float(pair[2]) if len(pair) == 3 else 1.0
             if w < 0:
                 raise ValueError("cross-pair weights must be non-negative")
+            if s == s2:
+                raise ValueError(f"cross pair ({s}, {s2}) must link two different strides")
             for stride in (s, s2):
                 if stride not in self.scale_weights:
                     raise ValueError(f"cross pair ({s}, {s2}) references unknown stride {stride}")
@@ -59,33 +60,24 @@ class LossConfig:
 
 
 def info_nce(anchors: AnchorSet, tau: float = 0.1) -> ad.Tensor:
-    """Supervised InfoNCE over one anchor set; positives by shared class id."""
-    if len(anchors) < 2:
-        raise ValueError(f"need at least 2 anchors, got {len(anchors)}")
+    """Supervised InfoNCE of one anchor set with itself; positives by shared class id."""
     return ad.contrastive_pair_loss(anchors.embeddings, anchors.embeddings, anchors.class_ids,
-                                    anchors.class_ids, tau, same_rows=True)
+                                    anchors.class_ids, tau)
 
 
 def info_nce_cross(anchors_a: AnchorSet, anchors_b: AnchorSet, tau: float = 0.1) -> ad.Tensor:
     """Cross-set InfoNCE, symmetrized as the mean of both directed losses.
 
-    Positives and negatives of an anchor in one set are drawn entirely from
-    the other set by class equality; gradients reach both sets.
+    The sets lie at two strides.  An anchor's positives and negatives are drawn
+    entirely from the other set by class equality; gradients reach both sets.
     """
     if len(anchors_a) == 0 or len(anchors_b) == 0:
         raise ValueError("both anchor sets must be nonempty")
-    same = anchors_a.scale == anchors_b.scale
-    if same and not np.array_equal(anchors_a.provenance, anchors_b.provenance):
-        # every same-stride pair is one set compared with itself
-        raise ValueError(f"two anchor sets at stride {anchors_a.scale} hold different positions")
+    if anchors_a.scale == anchors_b.scale:
+        raise ValueError(f"a cross-scale term needs two strides, got two sets at stride {anchors_a.scale}")
     ids_a, ids_b = anchors_a.class_ids, anchors_b.class_ids
-    try:
-        fwd = ad.contrastive_pair_loss(anchors_a.embeddings, anchors_b.embeddings, ids_a, ids_b, tau, same_rows=same)
-    except ValueError as e:
-        if "no positive pairs" not in str(e):
-            raise
-        raise ValueError("no cross-scale positives") from None
-    rev = ad.contrastive_pair_loss(anchors_b.embeddings, anchors_a.embeddings, ids_b, ids_a, tau, same_rows=same)
+    fwd = ad.contrastive_pair_loss(anchors_a.embeddings, anchors_b.embeddings, ids_a, ids_b, tau)
+    rev = ad.contrastive_pair_loss(anchors_b.embeddings, anchors_a.embeddings, ids_b, ids_a, tau)
     return ad.scale(ad.add(fwd, rev), 0.5)
 
 
@@ -103,9 +95,7 @@ def multi_scale_loss(sets: dict, cfg: LossConfig) -> ad.Tensor:
             raise ValueError(f"no anchor set for stride {stride} (weight {cfg.scale_weights[stride]})")
         try:
             term = info_nce(sets[stride], cfg.tau)
-        except ValueError as e:
-            if "no positive pairs" not in str(e):
-                raise
+        except ad.NoPositivePairs:
             log.warning("stride %d: no positive pairs, scale skipped", stride)
             n_degenerate += 1
             continue
@@ -129,9 +119,7 @@ def cross_scale_loss(sets: dict, cfg: LossConfig) -> ad.Tensor:
                 raise ValueError(f"cross pair ({s}, {s2}): no anchor set for stride {stride}")
         try:
             term = info_nce_cross(sets[s], sets[s2], cfg.tau)
-        except ValueError as e:
-            if "no cross-scale positives" not in str(e):
-                raise
+        except ad.NoPositivePairs:
             log.warning("cross pair (%d, %d): no shared classes, pair skipped", s, s2)
             continue
         term = ad.scale(term, w)

@@ -66,9 +66,9 @@ class CandidatePool:
 class AnchorSet:
     """Sampled anchors of one scale.
 
-    ``embeddings`` is an (N, d) tensor whose rows stay connected to the
-    projected feature map, so the contrastive loss backpropagates into the
-    network.  ``provenance`` holds the (batch, row, col) origin of each row.
+    ``embeddings`` is an (N, d) tensor of unit-norm rows that stay connected
+    to the projected feature map, so the contrastive loss backpropagates into
+    the network.  ``provenance`` holds the (batch, row, col) origin of each row.
     """
 
     embeddings: ad.Tensor
@@ -136,27 +136,26 @@ def _split_quota(k: int, caps: np.ndarray, batch_ids: np.ndarray) -> np.ndarray:
     return quotas
 
 
-def _gather(projected: ad.Tensor, pool: CandidatePool, picks: np.ndarray, normalize: bool) -> AnchorSet:
+def gather_anchor_set(projected: ad.Tensor, provenance: np.ndarray, class_ids: np.ndarray,
+                      scale: int) -> AnchorSet:
+    """The anchors at the (batch, row, col) rows of ``provenance``: unit-norm rows of ``projected``."""
+    emb = ad.gather_positions(projected, provenance[:, 0], provenance[:, 1], provenance[:, 2])
+    return AnchorSet(ad.l2_normalize_rows(emb), class_ids, scale, provenance)
+
+
+def _gather(projected: ad.Tensor, pool: CandidatePool, picks: np.ndarray) -> AnchorSet:
     if projected.data.ndim != 4 or projected.data.shape[0] != pool.batch \
             or projected.data.shape[2:] != (pool.height, pool.width):
         raise ValueError(
             f"projected map {projected.data.shape} does not match pool "
             f"({pool.batch}, *, {pool.height}, {pool.width})"
         )
-    b, r, c = pool.b_idx[picks], pool.r_idx[picks], pool.c_idx[picks]
-    emb = ad.gather_positions(projected, b, r, c)
-    if normalize:
-        emb = ad.l2_normalize_rows(emb)
-    return AnchorSet(
-        embeddings=emb,
-        class_ids=pool.class_ids[picks].copy(),
-        scale=pool.scale,
-        provenance=np.stack([b, r, c], axis=1),
-    )
+    provenance = np.stack([pool.b_idx[picks], pool.r_idx[picks], pool.c_idx[picks]], axis=1)
+    return gather_anchor_set(projected, provenance, pool.class_ids[picks], pool.scale)
 
 
 def sample_anchor_set(pool: CandidatePool, projected: ad.Tensor, a_max: int,
-                      rng: np.random.Generator, normalize: bool = True) -> AnchorSet:
+                      rng: np.random.Generator) -> AnchorSet:
     """Draw a class-balanced anchor set of at most a_max rows.
 
     K anchors per present class, K = min per-class count, reduced to
@@ -187,11 +186,11 @@ def sample_anchor_set(pool: CandidatePool, projected: ad.Tensor, a_max: int,
             else:
                 sel = rng.choice(cand.size, size=int(quota), replace=False)
                 picks.append(cand[np.sort(sel)])
-    return _gather(projected, pool, np.concatenate(picks), normalize)
+    return _gather(projected, pool, np.concatenate(picks))
 
 
-def dense_anchor_set(pool: CandidatePool, projected: ad.Tensor, normalize: bool = True) -> AnchorSet:
+def dense_anchor_set(pool: CandidatePool, projected: ad.Tensor) -> AnchorSet:
     """Every labeled position as an anchor: the exact, uncapped reference."""
     if len(pool) == 0:
         raise ValueError("no labeled positions at this scale")
-    return _gather(projected, pool, np.arange(len(pool)), normalize)
+    return _gather(projected, pool, np.arange(len(pool)))

@@ -22,7 +22,7 @@ from .labels import build_pyramid, downsample_labels
 from .losses import LossConfig, cross_scale_loss, info_nce, multi_scale_loss, total_loss
 from .metrics import class_sums, miou, separation_ratio_from_sums
 from .model import ToySegNet
-from .sampling import AnchorSet, SamplerRng, build_pool, dense_anchor_set, sample_anchor_set, substream
+from .sampling import SamplerRng, build_pool, dense_anchor_set, gather_anchor_set, sample_anchor_set, substream
 from .scenes import SceneDataset
 
 log = logging.getLogger(__name__)
@@ -74,8 +74,10 @@ def save_checkpoint(path: str, model: ToySegNet, velocities: dict, step: int, cf
         arrays[f"buffer/{name}"] = b
     for name, v in velocities.items():
         arrays[f"vel/{name}"] = v
-    with open(path, "wb") as f:
+    tmp = path + ".tmp"  # renamed into place once whole, so a crash leaves no partial checkpoint
+    with open(tmp, "wb") as f:
         np.savez(f, **arrays)
+    os.replace(tmp, path)
 
 
 def _read_checkpoint(path: str, sections=()) -> dict:
@@ -146,7 +148,8 @@ def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
 
     Per-step records carry the loss terms; eval records are appended at eval
     intervals and at the end, together with a checkpoint.  A non-finite loss
-    aborts, naming the first bad term.
+    aborts, naming the first bad term.  On resume, the log keeps only the
+    records before the checkpoint's step, as if the run had never stopped.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     model = build_model(cfg)
@@ -163,8 +166,15 @@ def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
 
     own_log = log_file is None
     if own_log:
-        mode = "a" if resume_from is not None else "w"
-        log_file = open(os.path.join(cfg.out_dir, "metrics.jsonl"), mode)
+        log_path = os.path.join(cfg.out_dir, "metrics.jsonl")
+        kept = []
+        if resume_from is not None and os.path.exists(log_path):
+            with open(log_path) as f:  # a line a crash tore has no newline yet
+                kept = [ln for ln in f if ln.endswith("\n") and json.loads(ln)["step"] < start_step]
+        with open(log_path + ".tmp", "w") as f:
+            f.writelines(kept)
+        os.replace(log_path + ".tmp", log_path)
+        log_file = open(log_path, "a")
     records = []
 
     def emit(record):
@@ -190,9 +200,7 @@ def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
                 sets = {}
                 for s in strides:
                     pool = build_pool(pyramid[s], s)
-                    sets[s] = sample_anchor_set(pool, projected[s], cfg.loss.a_max,
-                                                srng.stream(step, s),
-                                                cfg.loss.normalize_embeddings)
+                    sets[s] = sample_anchor_set(pool, projected[s], cfg.loss.a_max, srng.stream(step, s))
                 loss = total_loss(ce, sets, cfg.loss, parts)
             else:
                 loss = ce
@@ -250,7 +258,7 @@ def evaluate_model(model: ToySegNet, dataset: SceneDataset, cfg: RunConfig) -> d
         gts.append(labels)
         pool = build_pool(build_pyramid(labels, [4])[4], 4)
         if len(pool):
-            emb = dense_anchor_set(pool, projected[4], normalize=True)
+            emb = dense_anchor_set(pool, projected[4])
             s, c = class_sums(emb.embeddings.data, emb.class_ids, n_classes)
             sums += s
             counts += c
@@ -399,13 +407,6 @@ def benchmark_sampling(shapes, a_max: int, n_classes: int = 3, d: int = 32, seed
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_set(maps: dict, base: AnchorSet) -> AnchorSet:
-    prov = base.provenance
-    emb = ad.l2_normalize_rows(
-        ad.gather_positions(maps[base.scale], prov[:, 0], prov[:, 1], prov[:, 2]))
-    return AnchorSet(emb, base.class_ids, base.scale, prov)
-
-
 def gradient_suite(n_instances: int = 5, seed: int = 0, size: int = 16, n_classes: int = 3,
                    d: int = 3, a_max: int = 24, rtol: float = 1e-4) -> list:
     """Finite-difference checks of every loss term on random toy instances.
@@ -435,7 +436,8 @@ def gradient_suite(n_instances: int = 5, seed: int = 0, size: int = 16, n_classe
         }
 
         def sets(which=(4, 8, 16, 32)):
-            return {s: _rebuild_set(maps, base_sets[s]) for s in which}
+            return {s: gather_anchor_set(maps[s], base_sets[s].provenance, base_sets[s].class_ids, s)
+                    for s in which}
 
         cross_strides = sorted({s for a, b, _ in cfg.cross_pairs for s in (a, b)})
         checks = [

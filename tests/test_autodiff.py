@@ -347,7 +347,7 @@ def test_contrastive_pair_loss_gradcheck():
 
     def f():
         z = ad.l2_normalize_rows(raw)
-        return ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True)
+        return ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1)
 
     ad.check_gradients(f, [raw])
 
@@ -368,8 +368,8 @@ def test_contrastive_pair_loss_two_sets_gradcheck():
 def test_contrastive_pair_loss_edge_cases():
     z = ad.Tensor(np.eye(3))
     singletons = np.arange(3)  # with the diagonal excluded, no positives
-    with pytest.raises(ValueError, match="no positive pairs"):
-        ad.contrastive_pair_loss(z, z, singletons, singletons, tau=0.1, same_rows=True)
+    with pytest.raises(ad.NoPositivePairs, match="no positive pairs"):
+        ad.contrastive_pair_loss(z, z, singletons, singletons, tau=0.1)
 
     with pytest.raises(ValueError, match="temperature"):
         ad.contrastive_pair_loss(z, z, np.zeros(3, dtype=np.int64), singletons, tau=0.0)
@@ -384,7 +384,7 @@ def test_contrastive_row_without_negatives_contributes_zero():
     rng = np.random.default_rng(59)
     z = ad.l2_normalize_rows(ad.Tensor(rng.normal(size=(4, 3))))
     labels = np.zeros(4, dtype=np.int64)
-    loss = ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True)
+    loss = ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1)
     assert float(loss.data) == 0.0
 
 
@@ -400,7 +400,7 @@ def test_contrastive_blocking_invariant(monkeypatch):
     def one_set():
         t = ad.Tensor(raw, requires_grad=True)
         z = ad.l2_normalize_rows(t)
-        return ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1, same_rows=True), [t]
+        return ad.contrastive_pair_loss(z, z, labels, labels, tau=0.1), [t]
 
     def two_sets():
         ta, tb = ad.Tensor(raw, requires_grad=True), ad.Tensor(raw_b, requires_grad=True)
@@ -443,6 +443,42 @@ def test_contrastive_no_grad_value_matches_taped_value():
     assert not plain.requires_grad and plain.tape is None
     assert len(a.tape.nodes) == n_nodes + 1
     assert plain.data.tobytes() == taped.data.tobytes()
+
+
+def _loop_info_nce(a, a_classes, b, b_classes, tau, one_set):
+    """Supervised InfoNCE by explicit loops over anchors and pairs.
+
+    Row i of a pairs with every row j of b; j == i is no pair when a and b
+    are one set.  Per positive j the term is -log(e^s_ij / (e^s_ij + sum over
+    negatives n of e^s_in)); terms average per anchor, then over anchors.
+    """
+    row_means = []
+    for i in range(len(a)):
+        sims = [float(a[i] @ b[j]) / tau for j in range(len(b))]
+        pos = [j for j in range(len(b)) if b_classes[j] == a_classes[i] and not (one_set and j == i)]
+        neg = sum(math.exp(sims[j]) for j in range(len(b)) if b_classes[j] != a_classes[i])
+        if pos:
+            terms = [math.log(math.exp(sims[j]) + neg) - sims[j] for j in pos]
+            row_means.append(sum(terms) / len(terms))
+    return sum(row_means) / len(row_means)
+
+
+def test_contrastive_self_pairs_by_identity():
+    # one tensor passed twice is one set, so the diagonal is no pair; an
+    # equal copy is a second set, whose diagonal is a positive like any other
+    rng = np.random.default_rng(73)
+    z = ad.l2_normalize_rows(ad.Tensor(rng.normal(size=(7, 4))))
+    labels = np.array([0, 0, 1, 1, 2, 2, 0])
+    twin = ad.Tensor(z.data.copy())
+    itself = float(ad.contrastive_pair_loss(z, z, labels, labels, tau=0.5).data)
+    copy = float(ad.contrastive_pair_loss(z, twin, labels, labels.copy(), tau=0.5).data)
+    assert math.isclose(itself, _loop_info_nce(z.data, labels, z.data, labels, 0.5, one_set=True), rel_tol=1e-12)
+    assert math.isclose(copy, _loop_info_nce(z.data, labels, z.data, labels, 0.5, one_set=False), rel_tol=1e-12)
+    assert not math.isclose(itself, copy, rel_tol=1e-6)
+    # labels equal in value but held in another array still label one set
+    assert float(ad.contrastive_pair_loss(z, z, labels, labels.copy(), tau=0.5).data) == itself
+    with pytest.raises(ValueError, match="two different labelings"):
+        ad.contrastive_pair_loss(z, z, labels, labels[::-1], tau=0.5)
 
 
 def test_forward_determinism():

@@ -97,6 +97,26 @@ def test_bad_config_is_structured_error(tmp_path, capsys):
     assert "temperture" in err["message"]
 
 
+@pytest.mark.parametrize("override, where", [
+    ({"loss": {"cross_pairs": [[4]]}}, "cross pair"),
+    ({"loss": {"cross_pairs": [4, 32]}}, "'loss'"),
+    ({"loss": {"cross_pairs": [[4, 32, 1.0, 9]]}}, "cross pair"),
+    ({"steps": "abc"}, "'run'"),
+    ({"loss": {"tau": "0.1"}}, "'loss'"),
+    ({"loss": {"scale_weights": [1, 2]}}, "'loss'"),
+], ids=["pair-of-one", "pair-not-a-list", "pair-of-four", "steps-a-string", "tau-a-string", "weights-a-list"])
+def test_malformed_config_value_is_structured_error(tiny_yaml, capsys, override, where):
+    path, cfg = tiny_yaml
+    for key, value in override.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    with open(path, "w") as f:
+        yaml.safe_dump(cfg, f)
+    assert main(["train", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert where in err["message"]
+
+
 def test_benchmark_emits_one_json_row_per_shape(capsys):
     assert main(["benchmark", "--shapes", "1x4x4,1x8x8", "--a-max", "16"]) == 0
     rows = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]

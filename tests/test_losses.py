@@ -70,14 +70,15 @@ def test_cross_orthogonal_two_class_tau1():
 
 
 def test_min_anchor_count():
+    # one anchor has no positive pair, so its term is skipped like any such set
     anchors = set_from_gram([[1.0]], [0])
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ad.NoPositivePairs, match="no positive pairs"):
         info_nce(anchors)
 
 
 def test_all_singleton_classes_error():
     anchors = set_from_gram(np.eye(3), [0, 1, 2])
-    with pytest.raises(ValueError, match="no positive pairs"):
+    with pytest.raises(ad.NoPositivePairs, match="no positive pairs"):
         info_nce(anchors)
 
 
@@ -121,16 +122,6 @@ def test_sampled_equals_dense_on_exhausted_pool():
     assert abs(float(info_nce(sampled, 0.1).data) - float(info_nce(dense, 0.1).data)) < 1e-10
 
 
-def test_cross_identical_sets_match_within_scale():
-    rng = np.random.default_rng(207)
-    raw, anchors = random_set(rng, 10, 3)
-    twin = AnchorSet(ad.l2_normalize_rows(ad.Tensor(raw.data.copy())),
-                     anchors.class_ids.copy(), anchors.scale, anchors.provenance.copy())
-    within = float(info_nce(anchors, 0.1).data)
-    cross = float(info_nce_cross(anchors, twin, 0.1).data)
-    assert abs(within - cross) < 1e-12
-
-
 def test_cross_single_class_is_zero():
     a = set_from_gram(np.eye(2), [0, 0], scale=4, dim=3)
     b = set_from_gram(np.eye(3), [0, 0, 0], scale=16)
@@ -140,15 +131,19 @@ def test_cross_single_class_is_zero():
 def test_cross_requires_shared_class():
     a = set_from_gram(np.eye(2), [0, 0], scale=4)
     b = set_from_gram(np.eye(2), [1, 1], scale=16)
-    with pytest.raises(ValueError, match="no cross-scale positives"):
+    with pytest.raises(ad.NoPositivePairs, match="no positive pairs"):
         info_nce_cross(a, b, 0.1)
 
 
 def test_cross_same_stride_needs_one_set():
+    # a cross-scale term links two strides: two sets at one stride, or one
+    # set with itself, are errors and not a term without positives
     a = set_from_gram(np.eye(2), [0, 0], scale=4)
     b = set_from_gram(np.eye(2), [0, 0], scale=4, offset=2)
-    with pytest.raises(ValueError, match="stride 4 hold different positions"):
-        info_nce_cross(a, b, 0.1)
+    for other in (b, a):
+        with pytest.raises(ValueError, match="two sets at stride 4") as err:
+            info_nce_cross(a, other, 0.1)
+        assert not isinstance(err.value, ad.NoPositivePairs)
 
 
 def test_cross_gradients_reach_both_sets():
@@ -200,6 +195,29 @@ def test_multi_scale_skips_degenerate_scale(caplog):
         out = multi_scale_loss({4: good, 8: bad}, cfg)
     assert "stride 8" in caplog.text
     assert abs(float(out.data) - float(info_nce(good, cfg.tau).data)) < 1e-12
+
+
+def test_multi_scale_skips_one_anchor_stride(caplog):
+    rng = np.random.default_rng(229)
+    _, good = random_set(rng, 10, 3, scale=4)
+    lone = set_from_gram([[1.0]], [0], scale=8)
+    cfg = LossConfig(scale_weights={4: 1.0, 8: 0.7}, cross_pairs=())
+    with caplog.at_level("WARNING", logger="mscontrast.losses"):
+        out = multi_scale_loss({4: good, 8: lone}, cfg)
+    assert "stride 8: no positive pairs, scale skipped" in caplog.text
+    assert float(out.data) == float(info_nce(good, cfg.tau).data)
+
+
+def test_skip_is_only_for_missing_positives():
+    # any other error inside a term propagates instead of skipping the term
+    rng = np.random.default_rng(227)
+    _, good = random_set(rng, 8, 2, scale=4)
+    broken = AnchorSet(good.embeddings, good.class_ids[:-1], 32, good.provenance[:-1])  # 7 ids, 8 rows
+    cfg = LossConfig(scale_weights={4: 1.0, 32: 0.1}, cross_pairs=((4, 32),))
+    with pytest.raises(ValueError, match="class ids"):
+        multi_scale_loss({4: good, 32: broken}, cfg)
+    with pytest.raises(ValueError, match="class ids"):
+        cross_scale_loss({4: good, 32: broken}, cfg)
 
 
 def test_multi_scale_all_degenerate_errors():
@@ -264,16 +282,6 @@ def test_cross_scale_skips_pair_without_shared_class(caplog):
     assert float(out.data) == 0.0
 
 
-def test_cross_scale_skips_same_stride_pair_of_singletons(caplog):
-    # a class drawn once has no positive once the anchor itself is excluded
-    anchors = set_from_gram(np.eye(3), [0, 1, 2], scale=4)
-    cfg = LossConfig(scale_weights={4: 1.0}, cross_pairs=((4, 4),))
-    with caplog.at_level("WARNING", logger="mscontrast.losses"):
-        out = cross_scale_loss({4: anchors}, cfg)
-    assert "pair skipped" in caplog.text
-    assert float(out.data) == 0.0
-
-
 # --- total objective -------------------------------------------------------
 
 
@@ -305,6 +313,10 @@ def test_config_validation():
         LossConfig(scale_weights={4: -1.0})
     with pytest.raises(ValueError, match="unknown stride"):
         LossConfig(scale_weights={4: 1.0}, cross_pairs=((4, 32),))
+    with pytest.raises(ValueError, match="two different strides"):
+        LossConfig(cross_pairs=((4, 4),))
+    with pytest.raises(ValueError, match="stride, stride, weight"):
+        LossConfig(cross_pairs=((4, 32, 1.0, 9),))
     with pytest.raises(ValueError, match="loss_position"):
         LossConfig(loss_position="head")
     cfg = LossConfig(scale_weights={4: 1.0, 16: 0.4}, cross_pairs=((4, 16),))

@@ -79,6 +79,25 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert tail == step_records(rec_res)
 
 
+def test_resume_in_place_keeps_one_log(tmp_path):
+    # a run stopped after logging step 2 and resumed from checkpoint_step2.npz
+    # into its own out_dir must leave the log of a run that never stopped
+    cfg_full = tiny_cfg(tmp_path, "full")
+    train(cfg_full)
+    cfg = tiny_cfg(tmp_path, "crash")
+    train(cfg)
+    log_path = os.path.join(cfg.out_dir, "metrics.jsonl")
+    lines = open(log_path).read().splitlines(keepends=True)
+    cut = next(i for i, ln in enumerate(lines) if json.loads(ln)["step"] == 2) + 1
+    with open(log_path, "w") as f:
+        f.writelines(lines[:cut])
+        f.write(lines[cut][:10])  # a record torn by the crash
+    os.remove(os.path.join(cfg.out_dir, "checkpoint_final.npz"))
+    train(cfg, resume_from=os.path.join(cfg.out_dir, "checkpoint_step2.npz"))
+    assert open(log_path).read() == open(os.path.join(cfg_full.out_dir, "metrics.jsonl")).read()
+    assert sorted(os.listdir(cfg.out_dir)) == sorted(os.listdir(cfg_full.out_dir))
+
+
 def test_checkpoint_round_trip_bitwise_logits(tmp_path):
     cfg = tiny_cfg(tmp_path, "ck", steps=2)
     model, _, ckpt = train(cfg)
