@@ -257,7 +257,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     1x1 kernel with stride 1 and no padding uses the input itself as its
     columns.  The backward pass unfolds the input again rather than holding
     the columns between the passes, and folds the column gradient back with
-    the same kh*kw strided adds.
+    the same kh*kw strided adds.  It computes only the gradients of tracked
+    operands: an untracked input, such as the image, costs no column
+    gradient and no fold.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError(f"conv2d: expected 4-d operands, got {x.data.shape} and {w.data.shape}")
@@ -295,9 +297,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 
     def bwd(g):
         g2 = g.reshape(B, O, Ho * Wo)
-        _accum(w, (g2 @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+        if _tracked(w):
+            _accum(w, (g2 @ columns().transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
+        if not _tracked(x):  # e.g. the image: its gradient would be dropped
+            return
         dcols = w2.T @ g2
         if pointwise:
             _accum(x, dcols.reshape(B, C, H, W))
@@ -522,11 +527,19 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
     is undefined and :class:`NoPositivePairs` is raised.  Gradients flow into
     both ``a`` and ``b``.
 
-    Computed in blocks of ``CONTRASTIVE_BLOCK`` rows so neither the (n, m)
-    similarity matrix nor the pair masks are ever materialized whole.  When
-    the op is taped, the same pass over a block also yields its gradient,
-    from the softplus terms and the negatives' exponentials it already holds;
-    the backward pass only scales it.
+    Computed in blocks of ``CONTRASTIVE_BLOCK`` rows so the (n, m)
+    similarity matrix is never materialized whole.  Over the full block run
+    only the similarity GEMM, the finiteness check, the row max and the
+    exponentials of the negatives (positives are set to -inf first), all in
+    place in one matrix.  The per-pair terms (softplus and its sigmoid) run
+    on the positives alone, listed by ``np.nonzero``, and ``np.bincount``
+    sums them per row.  A block therefore holds one (block, m) float
+    matrix, one boolean class mask and the positives' index and value
+    arrays, instead of about eight full float temporaries.  When the op is
+    taped, the same pass also yields its gradient: the negatives'
+    exponentials are scaled in place and the positives' entries written
+    over them; the backward pass only scales it.  Only the gradients of
+    tracked operands are computed.
     """
     if tau <= 0:
         raise ValueError(f"contrastive_pair_loss: temperature must be positive, got {tau}")
@@ -541,49 +554,59 @@ def contrastive_pair_loss(a: Tensor, b: Tensor, a_classes: np.ndarray, b_classes
     if b is a and b_classes is not a_classes and not np.array_equal(a_classes, b_classes):
         raise ValueError("contrastive_pair_loss: one set contrasted with itself has two different labelings")
 
-    taped = _GRAD_ENABLED[-1] and (_tracked(a) or _tracked(b))
-    if taped:
-        da, db = np.zeros_like(a.data), np.zeros_like(b.data)
+    # when b is a, both halves of the gradient are a's
+    da = np.zeros_like(a.data) if _GRAD_ENABLED[-1] and _tracked(a) else None
+    db = np.zeros_like(b.data) if _GRAD_ENABLED[-1] and _tracked(b) else None
     inv_tau = 1.0 / float(tau)
     n_contrib = 0
     total = 0.0
     for lo in range(0, n, CONTRASTIVE_BLOCK):
         hi = min(lo + CONTRASTIVE_BLOCK, n)
-        pos = a_classes[lo:hi, None] == b_classes[None, :]
-        neg = ~pos
-        if b is a:
-            pos[np.arange(hi - lo), np.arange(lo, hi)] = False
-        s = (a.data[lo:hi] @ b.data.T) * inv_tau
+        s = a.data[lo:hi] @ b.data.T
+        s *= inv_tau
         if not np.isfinite(s).all():
             raise FloatingPointError("contrastive_pair_loss: non-finite similarity")
-        sn = np.where(neg, s, -np.inf)
-        mx = sn.max(axis=1)
+        # the positives' similarities leave the matrix, so only negatives stay finite
+        pr, pc = np.nonzero(a_classes[lo:hi, None] == b_classes[None, :])
+        sv = s[pr, pc]
+        s[pr, pc] = -np.inf
+        if b is a:  # the diagonal is neither a positive nor a negative
+            off = pc != pr + lo
+            pr, pc, sv = pr[off], pc[off], sv[off]
+        mx = s.max(axis=1)
         fin = np.isfinite(mx)
         shift = np.where(fin, mx, 0.0)
-        e = np.exp(sn - shift[:, None])
+        s -= shift[:, None]
+        e = np.exp(s, out=s)
         esum = e.sum(axis=1)
         with np.errstate(divide="ignore"):
             ld = np.where(fin, np.log(esum) + shift, -np.inf)
-        x = ld[:, None] - s
+        x = ld[pr] - sv
         sp = np.logaddexp(0.0, x)
-        pcount = pos.sum(axis=1)
+        pcount = np.bincount(pr, minlength=hi - lo)
         rows = pcount > 0
         n_contrib += int(rows.sum())
-        total += float((np.where(pos, sp, 0.0).sum(axis=1)[rows] / pcount[rows]).sum())
-        if taped:
-            # d(row mean)/ds: -sigmoid(x) / pcount on positives, and through
-            # ld the negatives' softmax weighted by the positives' sum
-            gpos = np.where(pos, np.exp(x - sp), 0.0) / np.maximum(pcount, 1)[:, None]
-            gs = gpos.sum(axis=1)[:, None] * (e / np.where(fin, esum, 1.0)[:, None]) - gpos
-            da[lo:hi] = gs @ b.data
-            db += gs.T @ a.data[lo:hi]
+        total += float((np.bincount(pr, weights=sp, minlength=hi - lo)[rows] / pcount[rows]).sum())
+        if da is not None or db is not None:
+            # d(row mean)/ds, written over e: -sigmoid(x) / pcount on
+            # positives, and through ld the negatives' softmax weighted by
+            # the positives' sum
+            gpos = np.exp(x - sp) / pcount[pr]
+            e *= (np.bincount(pr, weights=gpos, minlength=hi - lo) / np.where(fin, esum, 1.0))[:, None]
+            e[pr, pc] = -gpos
+            if da is not None:
+                da[lo:hi] = e @ b.data
+            if db is not None:
+                db += e.T @ a.data[lo:hi]
     if n_contrib == 0:
         raise NoPositivePairs("no positive pairs")
 
     def bwd(g):
         c = float(g) * inv_tau / n_contrib
-        _accum(a, da * c)
-        _accum(b, db * c)
+        if da is not None:
+            _accum(a, da * c)
+        if db is not None:
+            _accum(b, db * c)
 
     return _record("contrastive_pair_loss", [a, b] if a is not b else [a], np.float64(total / n_contrib), bwd)
 

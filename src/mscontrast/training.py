@@ -7,6 +7,7 @@ run continues the exact trajectory of an uninterrupted one.
 """
 
 import gc
+import glob
 import json
 import logging
 import os
@@ -150,8 +151,12 @@ def train(cfg: RunConfig, resume_from: str | None = None, log_file=None):
     intervals and at the end, together with a checkpoint.  A non-finite loss
     aborts, naming the first bad term.  On resume, the log keeps only the
     records before the checkpoint's step, as if the run had never stopped.
+    Every start removes the ``checkpoint_*.npz.tmp`` files a crash left in
+    ``out_dir``.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
+    for torn in glob.glob(os.path.join(glob.escape(cfg.out_dir), "checkpoint_*.npz.tmp")):
+        os.remove(torn)  # a checkpoint write a crash cut short
     model = build_model(cfg)
     velocities = {name: np.zeros_like(p.data) for name, p in model.named_parameters()}
     start_step = 0

@@ -185,6 +185,24 @@ def test_conv2d_matches_its_definition(B, C, H, W, O, k, stride, padding):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("k, stride, padding", [(3, 2, 1), (1, 1, 0)])
+def test_conv2d_untracked_input_skips_its_gradient(k, stride, padding):
+    # an untracked input (the image) gets no gradient, and the weight and
+    # bias gradients are the same bits as when the input is tracked
+    rng = np.random.default_rng(89)
+    x, w, b = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, k, k)), rng.normal(size=4)
+    grads = []
+    for x_tracked in (True, False):
+        xt = ad.Tensor(x, requires_grad=x_tracked)
+        wt, bt = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
+        y = ad.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        ad.backward(ad.tsum(ad.mul(y, ad.Tensor(np.cos(y.data)))))
+        grads.append((wt.grad, bt.grad))
+    assert xt.grad is None
+    for tracked, untracked in zip(*grads):
+        assert tracked.tobytes() == untracked.tobytes()
+
+
 def test_conv2d_channel_mismatch():
     x = ad.Tensor(np.zeros((1, 3, 4, 4)))
     w = ad.Tensor(np.zeros((2, 4, 1, 1)))
@@ -479,6 +497,65 @@ def test_contrastive_self_pairs_by_identity():
     assert float(ad.contrastive_pair_loss(z, z, labels, labels.copy(), tau=0.5).data) == itself
     with pytest.raises(ValueError, match="two different labelings"):
         ad.contrastive_pair_loss(z, z, labels, labels[::-1], tau=0.5)
+
+
+def test_contrastive_untracked_operand_gets_no_gradient():
+    # an untracked a or b costs no gradient, and the other operand's gradient
+    # is the same bits as when both are tracked
+    rng = np.random.default_rng(97)
+    a, b = rng.normal(size=(9, 5)), rng.normal(size=(7, 5))
+    la, lb = rng.integers(0, 3, size=9), rng.integers(0, 3, size=7)
+
+    def grads(a_tracked, b_tracked):
+        ta, tb = ad.Tensor(a, requires_grad=a_tracked), ad.Tensor(b, requires_grad=b_tracked)
+        ad.backward(ad.contrastive_pair_loss(ta, tb, la, lb, tau=0.1))
+        return ta.grad, tb.grad
+
+    both = grads(True, True)
+    only_a, only_b = grads(True, False), grads(False, True)
+    assert only_a[1] is None and only_b[0] is None
+    assert only_a[0].tobytes() == both[0].tobytes()
+    assert only_b[1].tobytes() == both[1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["one set", "two sets", "b of one class"])
+@pytest.mark.parametrize("block", [3, 4])
+def test_contrastive_definition_on_unsorted_ids(monkeypatch, case, block):
+    # nothing may rest on rows grouped by class: shuffled ids, blocks that
+    # split classes, a singleton class 9 (its row has no positive) and, when
+    # b holds one class, rows of a that have no negative
+    monkeypatch.setattr(ad, "CONTRASTIVE_BLOCK", block)
+    rng = np.random.default_rng(101)
+    la = rng.permutation([0, 0, 0, 1, 1, 1, 1, 2, 2, 9])
+    lb = {"one set": la, "two sets": rng.permutation([2, 0, 1, 1, 0, 2, 2, 3]), "b of one class": np.ones(6, int)}[case]
+    ra = ad.Tensor(rng.normal(size=(len(la), 4)), requires_grad=True)
+    rb = ra if case == "one set" else ad.Tensor(rng.normal(size=(len(lb), 4)), requires_grad=True)
+
+    def loss(ra, rb, la, lb):
+        za = ad.l2_normalize_rows(ra)
+        zb = za if rb is ra else ad.l2_normalize_rows(rb)
+        return ad.contrastive_pair_loss(za, zb, la, lb, tau=0.2)
+
+    za, zb = (t.data / np.linalg.norm(t.data, axis=1, keepdims=True) for t in (ra, rb))
+    want = _loop_info_nce(za, la, zb, lb, 0.2, one_set=case == "one set")
+    value = float(loss(ra, rb, la, lb).data)
+    # a row without negatives adds exactly 0; the loops leave a rounding
+    # residue there, which the absolute tolerance allows when every term is 0
+    assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-14)
+    leaves = [ra] if rb is ra else [ra, rb]
+    ad.check_gradients(lambda: loss(ra, rb, la, lb), leaves)
+
+    # permuting the rows of a permutes a's gradient and keeps the value;
+    # ra.grad and rb.grad hold the analytic gradients check_gradients took
+    perm = rng.permutation(len(la))
+    pa = ad.Tensor(ra.data[perm], requires_grad=True)
+    pb = pa if rb is ra else ad.Tensor(rb.data, requires_grad=True)
+    permuted = loss(pa, pb, la[perm], la[perm] if rb is ra else lb)
+    assert math.isclose(float(permuted.data), value, rel_tol=1e-15)
+    ad.backward(permuted)
+    assert np.abs(pa.grad - ra.grad[perm]).max() <= 1e-14 * np.abs(ra.grad).max()
+    if rb is not ra:
+        assert np.abs(pb.grad - rb.grad).max() <= 1e-14 * np.abs(rb.grad).max()
 
 
 def test_forward_determinism():

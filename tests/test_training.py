@@ -81,7 +81,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
 
 def test_resume_in_place_keeps_one_log(tmp_path):
     # a run stopped after logging step 2 and resumed from checkpoint_step2.npz
-    # into its own out_dir must leave the log of a run that never stopped
+    # into its own out_dir must leave the log and files of a run that never
+    # stopped
     cfg_full = tiny_cfg(tmp_path, "full")
     train(cfg_full)
     cfg = tiny_cfg(tmp_path, "crash")
@@ -93,6 +94,8 @@ def test_resume_in_place_keeps_one_log(tmp_path):
         f.writelines(lines[:cut])
         f.write(lines[cut][:10])  # a record torn by the crash
     os.remove(os.path.join(cfg.out_dir, "checkpoint_final.npz"))
+    with open(os.path.join(cfg.out_dir, "checkpoint_step2.npz.tmp"), "wb") as f:
+        f.write(b"PK\x03\x04")  # a checkpoint write torn by the crash
     train(cfg, resume_from=os.path.join(cfg.out_dir, "checkpoint_step2.npz"))
     assert open(log_path).read() == open(os.path.join(cfg_full.out_dir, "metrics.jsonl")).read()
     assert sorted(os.listdir(cfg.out_dir)) == sorted(os.listdir(cfg_full.out_dir))
